@@ -8,9 +8,7 @@ from .ccd import (
     CcdFactorization,
     CcdSystem,
     DerivativePair,
-    apply_ccd,
     build_ccd_system,
-    factorize,
     get_factorization,
 )
 from .grid import GridAxis
@@ -39,11 +37,9 @@ __all__ = [
     "RunResult",
     "StabilityAdvisory",
     "UnstableStepError",
-    "apply_ccd",
     "build_ccd_system",
     "burgers_rhs",
     "directional_derivatives",
-    "factorize",
     "get_factorization",
     "linf_errors",
     "pde_residual",

@@ -20,7 +20,7 @@ once per axis and reused for every pencil and time step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -30,10 +30,6 @@ from .grid import GridAxis
 # Half bandwidths of the interleaved (u'_0, u''_0, u'_1, u''_1, ...) matrix.
 _KL = 3
 _KU = 3
-
-# Node counts up to which the dense fundamental-solution product is kept
-# around as a cross-check oracle for the banded path.
-DENSE_IAB_MAX_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,6 @@ class CcdFactorization:
     """
 
     def __init__(self, system: CcdSystem):
-        self._system = system
         self.axis = system.axis
         self.m = system.m
         ab = _interleaved_banded(system)
@@ -175,11 +170,6 @@ class CcdFactorization:
             )
         self._lu = lu
         self._ipiv = ipiv
-        self._iab: np.ndarray | None = None
-
-    @property
-    def system(self) -> CcdSystem:
-        return self._system
 
     def _build_rhs(self, u: np.ndarray) -> np.ndarray:
         h = self.axis.spacing
@@ -208,55 +198,6 @@ class CcdFactorization:
         x = x.reshape(r.shape)
         return DerivativePair(first=x[0::2], second=x[1::2])
 
-    def residual(self, samples: np.ndarray, pair: DerivativePair) -> float:
-        """Max-norm residual ||A v - B u||_inf of a computed derivative pair."""
-        u = np.asarray(samples, dtype=float).reshape(self.m, -1)
-        v = np.empty((2 * self.m, u.shape[1]))
-        v[0::2] = pair.first.reshape(self.m, -1)
-        v[1::2] = pair.second.reshape(self.m, -1)
-        r = self._build_rhs(u)
-        A = self._system.full_matrix()
-        perm = _interleave_permutation(self.m)
-        Ai = A[np.ix_(perm, perm)]
-        return float(np.max(np.abs(Ai @ v - r.reshape(2 * self.m, -1))))
-
-    @property
-    def iab(self) -> np.ndarray:
-        """Dense 2m x m product mapping samples directly to both derivative
-        vectors (block ordering: first derivatives on top).  Materialized
-        lazily and only intended as a small-size cross-check oracle."""
-        if self._iab is None:
-            if self.m > DENSE_IAB_MAX_NODES:
-                raise ValueError(
-                    f"dense product only kept for m <= {DENSE_IAB_MAX_NODES}"
-                )
-            A = self._system.full_matrix()
-            B = self._system.rhs_matrix()
-            self._iab = np.linalg.solve(A, B)
-        return self._iab
-
-    def apply_dense(self, samples: np.ndarray) -> DerivativePair:
-        """Cross-check path: one dense matrix-vector product per pencil."""
-        u = np.asarray(samples, dtype=float)
-        out = self.iab @ u
-        return DerivativePair(first=out[: self.m], second=out[self.m:])
-
-
-def _interleave_permutation(m: int) -> np.ndarray:
-    """Row/column permutation taking block ordering to interleaved ordering."""
-    perm = np.empty(2 * m, dtype=int)
-    perm[0::2] = np.arange(m)
-    perm[1::2] = np.arange(m) + m
-    return perm
-
-
-def factorize(system: CcdSystem) -> CcdFactorization:
-    return CcdFactorization(system)
-
-
-def apply_ccd(fact: CcdFactorization, samples: np.ndarray) -> DerivativePair:
-    return fact.apply(samples)
-
 
 _CACHE: dict[tuple[int, float], CcdFactorization] = {}
 
@@ -267,6 +208,6 @@ def get_factorization(axis: GridAxis) -> CcdFactorization:
     key = (axis.n_cells, axis.spacing)
     fact = _CACHE.get(key)
     if fact is None:
-        fact = factorize(build_ccd_system(axis))
+        fact = CcdFactorization(build_ccd_system(axis))
         _CACHE[key] = fact
     return fact

@@ -1,17 +1,19 @@
 """Command-line front end: single solves, convergence studies, table
 reproduction and the solvability audit.
 
-Configuration is a flat ``key=value`` text file; any command-line option
-overrides the file.  Exit codes: 0 success, 2 configuration error,
-3 instability, 4 audit failure.
+Configuration is a flat ``key=value`` text file holding only keys some
+subcommand reads; any command-line option overrides the file.  Exit codes:
+0 success, 2 configuration error, 3 instability, 4 audit failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import json
 import math
+import operator
 import struct
 import sys
 import time
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .ccd import get_factorization
-from .exact import EXAMPLES, compute_fourier_coefficients, example1_exact
+from .exact import EXAMPLES
 from .grid import GridAxis
 from .model import InstabilityError, linf_errors, run
 from .reference_data import TABLE1_ROWS
@@ -35,6 +37,17 @@ EXIT_AUDIT = 4
 
 class ConfigError(Exception):
     pass
+
+
+#: Option keys each subcommand reads from its flags or the config file.
+COMMAND_KEYS = {
+    "solve": ("example", "m", "dt", "final_time", "inv_re", "variant", "outdir"),
+    "converge": ("example", "m_list", "dt", "final_time", "inv_re", "variant", "outdir"),
+    "table1": ("outdir", "m", "dt"),
+    "audit": ("outdir",),
+    "derive": ("m", "left", "right", "expr", "outdir"),
+}
+CONFIG_KEYS = frozenset(k for keys in COMMAND_KEYS.values() for k in keys)
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -52,7 +65,10 @@ def load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -96,9 +112,9 @@ def _spec_from_options(opts) -> tuple:
     return example, EXAMPLES[example](**kwargs)
 
 
-def _merged_options(args, keys) -> dict:
+def _merged_options(args) -> dict:
     opts = load_config(getattr(args, "config", None))
-    for key in keys:
+    for key in COMMAND_KEYS[args.command]:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
@@ -144,9 +160,7 @@ def _resolution(opts, dimension) -> list[int]:
 
 
 def cmd_solve(args) -> int:
-    opts = _merged_options(
-        args, ("example", "m", "dt", "final_time", "inv_re", "variant",
-               "boundary_mode", "outdir"))
+    opts = _merged_options(args)
     example, spec = _spec_from_options(opts)
     resolution = _resolution(opts, spec.dimension)
     axes = spec.axes(resolution)
@@ -156,8 +170,7 @@ def cmd_solve(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    result = run(spec, resolution, dt,
-                 boundary_mode=opts.get("boundary_mode", "step"))
+    result = run(spec, resolution, dt)
     wall = time.perf_counter() - start
 
     errors = None
@@ -175,7 +188,6 @@ def cmd_solve(args) -> int:
         "steps": result.steps,
         "final_time": spec.final_time,
         "inv_re": spec.inv_re,
-        "boundary_mode": opts.get("boundary_mode", "step"),
         "linf_errors": errors,
         "stability_warning": result.advisory.warn,
         "stability_limit": result.advisory.limit,
@@ -193,9 +205,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    opts = _merged_options(
-        args, ("example", "m_list", "dt", "final_time", "inv_re", "variant",
-               "boundary_mode", "outdir"))
+    opts = _merged_options(args)
     example, spec = _spec_from_options(opts)
     raw = opts.get("m_list")
     if raw is None:
@@ -218,8 +228,7 @@ def cmd_converge(args) -> int:
         resolution = [m] * spec.dimension
         h = min(ax.spacing for ax in spec.axes(resolution))
         dt = resolve_dt(opts.get("dt", "h2"), h, spec.final_time)
-        result = run(spec, resolution, dt,
-                     boundary_mode=opts.get("boundary_mode", "step"))
+        result = run(spec, resolution, dt)
         errors = linf_errors(result.final, spec, resolution)
         rows.append({"m": m, "h": h, "dt": dt, "errors": errors})
     wall = time.perf_counter() - start
@@ -245,7 +254,6 @@ def cmd_converge(args) -> int:
         "example": example,
         "problem": spec.name,
         "dt_rule": opts.get("dt", "h2"),
-        "boundary_mode": opts.get("boundary_mode", "step"),
         "inv_re": spec.inv_re,
         "final_time": spec.final_time,
         "rows": [
@@ -260,7 +268,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    opts = _merged_options(args, ("outdir", "m", "dt"))
+    opts = _merged_options(args)
     outdir = Path(opts.get("outdir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     m = int(opts.get("m", 80))
@@ -302,7 +310,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    opts = _merged_options(args, ("outdir",))
+    opts = _merged_options(args)
     outdir = Path(opts.get("outdir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     report = audit_mod.audit_report()
@@ -316,22 +324,50 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_AUDIT
 
 
+_EXPR_FUNCTIONS = {"sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh",
+                   "cosh", "sinh"}
+_EXPR_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.Div: operator.truediv,
+                   ast.Pow: operator.pow, ast.USub: operator.neg}
+
+
+def evaluate_expression(expr: str, x: np.ndarray):
+    """Evaluate ``expr`` built from numbers, ``x``, ``pi``, ``e``, ``+ - * /
+    **``, unary minus and ``_EXPR_FUNCTIONS``; reject anything else."""
+    names = {"x": x, "pi": np.pi, "e": np.e}
+
+    def value(node):
+        op = _EXPR_OPERATORS.get(type(getattr(node, "op", None)))
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)  # float powers overflow, never hang
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and op is not None:
+            return op(value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and op is not None:
+            return op(value(node.operand))
+        if (isinstance(node, ast.Call) and len(node.args) == 1
+                and getattr(node.func, "id", None) in _EXPR_FUNCTIONS
+                and not node.keywords):
+            return getattr(np, node.func.id)(value(node.args[0]))
+        raise ValueError(f"unsupported syntax: {type(node).__name__}")
+
+    return value(ast.parse(expr, mode="eval").body)
+
+
 def cmd_derive(args) -> int:
-    opts = _merged_options(args, ("m", "left", "right", "expr", "outdir"))
+    opts = _merged_options(args)
     m = int(opts.get("m", 32))
     left = float(opts.get("left", 0.0))
     right = float(opts.get("right", 1.0))
     expr = opts.get("expr", "sin(2*pi*x)")
     axis = GridAxis(m, left, right)
     x = axis.nodes()
-    namespace = {name: getattr(np, name) for name in (
-        "sin", "cos", "tan", "exp", "log", "sqrt", "abs", "pi", "e", "tanh",
-        "cosh", "sinh")}
-    namespace["x"] = x
     try:
-        u = np.broadcast_to(np.asarray(eval(expr, {"__builtins__": {}}, namespace),
-                                       dtype=float), x.shape)
-    except Exception as exc:
+        u = np.broadcast_to(
+            np.asarray(evaluate_expression(expr, x), dtype=float), x.shape)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError,
+            MemoryError) as exc:  # MemoryError: the parser's nesting limit
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     pair = get_factorization(axis).apply(u)
     outdir = Path(opts.get("outdir", "."))
@@ -366,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--inv-re", dest="inv_re")
     solve.add_argument("--variant", choices=("corrected", "as-printed"),
                        help="exact-solution variant for example 4")
-    solve.add_argument("--boundary-mode", dest="boundary_mode",
-                       choices=("step", "stage"))
     solve.add_argument("--dump", action="store_true",
                        help="also write a raw binary grid dump")
     solve.set_defaults(fn=cmd_solve)
@@ -381,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--final-time", dest="final_time")
     conv.add_argument("--inv-re", dest="inv_re")
     conv.add_argument("--variant", choices=("corrected", "as-printed"))
-    conv.add_argument("--boundary-mode", dest="boundary_mode",
-                      choices=("step", "stage"))
     conv.set_defaults(fn=cmd_converge)
 
     tab = sub.add_parser("table1", parents=[common],

@@ -8,7 +8,6 @@ right-hand side is explicit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -227,17 +226,9 @@ def run(
     spec: ProblemSpec,
     resolution: Sequence[int],
     dt: float,
-    boundary_mode: str = "step",
     snapshot_times: Sequence[float] = (),
 ) -> RunResult:
-    """March the problem from t=0 to the final time.
-
-    ``boundary_mode`` selects between refreshing physical boundary values
-    only after each full step (the default) or additionally after each
-    Runge-Kutta stage at the stage's nominal time.
-    """
-    if boundary_mode not in ("step", "stage"):
-        raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
+    """March the problem from t=0 to the final time."""
     axes = spec.axes(resolution)
     facts = tuple(get_factorization(ax) for ax in axes)
     n_steps = _step_count(spec.final_time, dt)
@@ -252,11 +243,14 @@ def run(
         k = round(t_snap / dt)
         if abs(k * dt - t_snap) > 1e-9:
             raise ValueError(f"snapshot time {t_snap} is not a step multiple of dt")
+        if not 0 <= k <= n_steps:
+            raise ValueError(
+                f"snapshot time {t_snap} lies outside [0, {spec.final_time}]"
+            )
         snapshot_steps[k] = t_snap
 
     advisory = stability_guard(spec, resolution, dt)
     rhs = lambda s: burgers_rhs(s, facts, spec.inv_re)
-    post_stage = set_boundary if boundary_mode == "stage" else None
 
     result = RunResult(final=state, advisory=advisory)
     if 0 in snapshot_steps:
@@ -264,7 +258,7 @@ def run(
 
     for n in range(n_steps):
         try:
-            state = tvd_rk3_step(state, dt, rhs, post_stage=post_stage)
+            state = tvd_rk3_step(state, dt, rhs)
         except UnstableStepError as exc:
             raise InstabilityError(n + 1, (n + 1) * dt, str(exc)) from exc
         # Algorithm step 4: physical boundary values are imposed, not evolved.

@@ -20,10 +20,6 @@ STAGE_WEIGHTS = (
     (1 / 3, 2 / 3, 2 / 3),
 )
 
-#: Nominal time levels (as fractions of dt) at which the three stage states
-#: live; used by the optional per-stage boundary enforcement.
-STAGE_TIMES = (1.0, 0.5, 1.0)
-
 
 class UnstableStepError(RuntimeError):
     """Raised when a stage produces non-finite values (blow-up)."""
@@ -46,7 +42,6 @@ class FieldSet:
 
 
 RhsFn = Callable[[FieldSet], Sequence[np.ndarray]]
-PostStageFn = Callable[[tuple[np.ndarray, ...], float], tuple[np.ndarray, ...]]
 
 
 def _check_finite(fields: Sequence[np.ndarray], label: str) -> None:
@@ -60,17 +55,10 @@ def _check_finite(fields: Sequence[np.ndarray], label: str) -> None:
             )
 
 
-def tvd_rk3_step(
-    state: FieldSet,
-    dt: float,
-    rhs: RhsFn,
-    post_stage: PostStageFn | None = None,
-) -> FieldSet:
+def tvd_rk3_step(state: FieldSet, dt: float, rhs: RhsFn) -> FieldSet:
     """Advance ``state`` by one step of size ``dt``.
 
-    ``rhs`` is evaluated exactly three times.  ``post_stage``, when given,
-    may adjust the two intermediate stage states (e.g. to re-impose boundary
-    values); it receives the component tuple and the nominal stage time.
+    ``rhs`` is evaluated exactly three times.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -89,15 +77,11 @@ def tvd_rk3_step(
     l0 = rhs(state)
     u1 = tuple(p + dt * f for p, f in zip(un, l0))
     _check_finite(u1, "stage 1")
-    if post_stage is not None:
-        u1 = post_stage(u1, t + STAGE_TIMES[0] * dt)
 
     # Stage 2.
     l1 = rhs(FieldSet(u1, t + dt))
     u2 = combine(u1, l1, STAGE_WEIGHTS[1][1])
     _check_finite(u2, "stage 2")
-    if post_stage is not None:
-        u2 = post_stage(u2, t + STAGE_TIMES[1] * dt)
 
     # Final combination.
     l2 = rhs(FieldSet(u2, t + 0.5 * dt))

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccdburgers.ccd import (
-    DENSE_IAB_MAX_NODES,
-    apply_ccd,
-    build_ccd_system,
-    factorize,
-    get_factorization,
-)
+from ccdburgers.ccd import build_ccd_system, get_factorization
 from ccdburgers.grid import GridAxis
 
 
@@ -122,49 +116,41 @@ def test_linearity(a, b, seed):
         assert np.max(np.abs(got - want)) / scale < 1e-12
 
 
+def _assert_small_residual(n_cells, rng):
+    # ||A [u'; u''] - B u|| from the dense blocks
+    system = build_ccd_system(GridAxis(n_cells))
+    u = rng.standard_normal(system.m)
+    pair = get_factorization(system.axis).apply(u)
+    rhs = system.rhs_matrix() @ u
+    unknowns = np.concatenate([pair.first, pair.second])
+    residual = system.full_matrix() @ unknowns - rhs
+    assert np.max(np.abs(residual)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
+
+
 def test_solve_residual_random(rng):
-    fact = get_factorization(GridAxis(64))
-    u = rng.standard_normal(65)
-    pair = fact.apply(u)
-    rhs_scale = 1 + np.max(np.abs(fact._build_rhs(u)))
-    assert fact.residual(u, pair) <= 1e-10 * rhs_scale
+    _assert_small_residual(64, rng)
 
 
 def test_large_axis_residual(rng):
     # 101 nodes at h = 0.01
-    fact = factorize(build_ccd_system(GridAxis(100, 0.0, 1.0)))
-    u = rng.standard_normal(101)
-    pair = fact.apply(u)
-    rhs_scale = 1 + np.max(np.abs(fact._build_rhs(u)))
-    assert fact.residual(u, pair) <= 1e-10 * rhs_scale
+    _assert_small_residual(100, rng)
 
 
-@pytest.mark.parametrize("n_cells", [4, 8, 31, 63])
-def test_banded_matches_dense_product(n_cells, rng):
-    fact = get_factorization(GridAxis(n_cells))
-    assert fact.m <= DENSE_IAB_MAX_NODES
-    u = rng.standard_normal(fact.m)
-    banded = fact.apply(u)
-    dense = fact.apply_dense(u)
-    for got, want in ((banded.first, dense.first), (banded.second, dense.second)):
-        scale = np.max(np.abs(want)) + 1
-        assert np.max(np.abs(got - want)) / scale < 1e-12
-
-
-def test_dense_product_refused_when_large():
-    fact = factorize(build_ccd_system(GridAxis(100)))
-    with pytest.raises(ValueError):
-        fact.iab
-
-
-def test_banded_solve_matches_full_dense_solve(rng):
-    system = build_ccd_system(GridAxis(10, 0.0, 0.5))
-    fact = factorize(system)
-    u = rng.standard_normal(11)
-    pair = fact.apply(u)
-    sol = np.linalg.solve(system.full_matrix(), system.rhs_matrix() @ u)
-    np.testing.assert_allclose(pair.first, sol[:11], rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(pair.second, sol[11:], rtol=1e-12, atol=1e-12)
+# the banded solve against the dense product A^-1 B of the block system;
+# 10 cells on [0, 0.5] gives a spacing that is not 1/n_cells
+@pytest.mark.parametrize(
+    "n_cells,right",
+    [(4, 1.0), (8, 1.0), (31, 1.0), (63, 1.0), (10, 0.5)],
+    ids=["4", "8", "31", "63", "10-half"],
+)
+def test_banded_matches_dense_product(n_cells, right, rng):
+    system = build_ccd_system(GridAxis(n_cells, 0.0, right))
+    dense = np.linalg.solve(system.full_matrix(), system.rhs_matrix())
+    u = rng.standard_normal(system.m)
+    pair = get_factorization(system.axis).apply(u)
+    m = system.m
+    np.testing.assert_allclose(pair.first, dense[:m] @ u, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(pair.second, dense[m:] @ u, rtol=1e-12, atol=1e-12)
 
 
 def _interior_first_derivative_error(n_cells):
@@ -220,10 +206,3 @@ def test_factorization_cache_shared():
     c = get_factorization(GridAxis(24, 0.0, 2.0))
     assert c is not a
 
-
-def test_apply_ccd_helper(rng):
-    fact = get_factorization(GridAxis(8))
-    u = rng.standard_normal(9)
-    via_helper = apply_ccd(fact, u)
-    direct = fact.apply(u)
-    np.testing.assert_array_equal(via_helper.first, direct.first)

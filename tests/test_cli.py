@@ -44,6 +44,15 @@ def test_load_config(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(cli.ConfigError):
         cli.load_config(str(bad))
+    # a misspelt key, and the per-stage boundary mode the solver no longer has
+    for line in ("final_tme = 0.05", "boundary_mode = stage"):
+        unknown = tmp_path / "unknown.cfg"
+        unknown.write_text(f"example = 3\n{line}\n")
+        with pytest.raises(cli.ConfigError, match="unknown key"):
+            cli.load_config(str(unknown))
+        rc = cli.main(["--config", str(unknown), "solve", "--m", "8",
+                       "--outdir", str(tmp_path)])
+        assert rc == 2
 
 
 def test_grid_dump_roundtrip(tmp_path):
@@ -261,5 +270,14 @@ def test_derive_polynomial(tmp_path):
 
 
 def test_derive_bad_expression(tmp_path):
-    rc = cli.main(["derive", "--expr", "import os", "--outdir", str(tmp_path)])
-    assert rc == 2
+    for expr in (
+        "import os",
+        # walks from a tuple to os._wrap_close without any builtin
+        '[c for c in ().__class__.__mro__[1].__subclasses__()'
+        ' if c.__name__=="_wrap_close"][0] and 0*x',
+        # integer powers this large would never finish
+        "9**9**9**9",
+    ):
+        rc = cli.main(["derive", "--expr", expr, "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "derive.csv").exists()

@@ -220,31 +220,16 @@ def test_runs_are_deterministic():
         assert np.array_equal(ca, cb)
 
 
-def test_stage_boundary_mode_runs_and_stays_accurate():
-    spec = example3_spec()
-    res_step = run(spec, [8, 8], 0.1 / 32, boundary_mode="step")
-    res_stage = run(spec, [8, 8], 0.1 / 32, boundary_mode="stage")
-    e_step = max(linf_errors(res_step.final, spec, [8, 8]))
-    e_stage = max(linf_errors(res_stage.final, spec, [8, 8]))
-    assert e_step < 1e-8
-    # enforcing time-dependent boundary data at the nominal stage times is
-    # inconsistent with the convex stage combination, costing some accuracy
-    assert e_stage < 1e-5
-
-
-def test_unknown_boundary_mode_rejected():
-    with pytest.raises(ValueError):
-        run(example3_spec(), [8, 8], 0.1 / 32, boundary_mode="never")
-
-
 def test_dt_must_divide_final_time():
     with pytest.raises(ValueError):
         run(example3_spec(), [8, 8], 0.03)
 
 
 def test_snapshot_times_must_land_on_steps():
-    with pytest.raises(ValueError):
-        run(example3_spec(), [8, 8], 0.1 / 32, snapshot_times=(0.0123,))
+    # off the step lattice, past the final time 0.1, before t = 0
+    for t_snap in (0.0123, 0.2, -0.05):
+        with pytest.raises(ValueError):
+            run(example3_spec(), [8, 8], 0.1 / 32, snapshot_times=(0.05, t_snap))
 
 
 def test_snapshots_are_recorded():

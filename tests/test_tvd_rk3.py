@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ccdburgers.tvd_rk3 import (
-    STAGE_TIMES,
     STAGE_WEIGHTS,
     FieldSet,
     UnstableStepError,
@@ -81,18 +80,6 @@ def test_exactly_three_rhs_evaluations():
     assert len(calls) == 3
     # evaluation times: t, then the nominal stage times t+dt and t+dt/2
     assert calls == [2.0, 2.5, 2.25]
-
-
-def test_post_stage_hook_times_and_effect():
-    seen = []
-
-    def post(components, t):
-        seen.append(t)
-        return components
-
-    state = FieldSet(components=(np.ones(4),), time=1.0)
-    tvd_rk3_step(state, 0.2, lambda s: (np.zeros(4),), post_stage=post)
-    assert seen == [1.0 + STAGE_TIMES[0] * 0.2, 1.0 + STAGE_TIMES[1] * 0.2]
 
 
 def test_rejects_nonpositive_dt():
