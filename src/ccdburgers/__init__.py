@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 
 from .ccd import (
     CcdFactorization,
-    CcdSystem,
     DerivativePair,
-    build_ccd_system,
     get_factorization,
 )
 from .grid import GridAxis
@@ -28,7 +26,6 @@ from .tvd_rk3 import FieldSet, UnstableStepError, tvd_rk3_step
 
 __all__ = [
     "CcdFactorization",
-    "CcdSystem",
     "DerivativePair",
     "FieldSet",
     "GridAxis",
@@ -37,7 +34,6 @@ __all__ = [
     "RunResult",
     "StabilityAdvisory",
     "UnstableStepError",
-    "build_ccd_system",
     "burgers_rhs",
     "directional_derivatives",
     "get_factorization",

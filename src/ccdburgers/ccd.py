@@ -1,8 +1,10 @@
 """Three-point combined compact difference (CCD) operator on a uniform axis.
 
 The scheme couples the unknown first and second derivatives of the sampled
-function at three adjacent nodes.  The residual ``A v - B u`` that each row
-leaves on the exact derivatives (its truncation error) is
+function at three adjacent nodes.  In block form the equations read
+[[A1, A2], [A3, A4]] [u'; u''] = [B1; B2] u (see ``dense_matrices``).  The
+residual ``A v - B u`` that each row leaves on the exact derivatives (its
+truncation error) is
 
 * interior rows: -(h^6/5040) u^(7) for the first-derivative relation and
   -(h^6/20160) u^(8) for the second-derivative relation;
@@ -40,112 +42,77 @@ class DerivativePair:
     second: np.ndarray
 
 
-@dataclass(frozen=True)
-class CcdSystem:
-    """The 2x2 block form of the CCD equations for one axis.
+def _band(axis: GridAxis) -> np.ndarray:
+    """LAPACK band storage (kl = ku = 3) of the coefficient matrix A, with the
+    unknowns interleaved as (u'_0, u''_0, u'_1, u''_1, ...) and equation 2i
+    (2i+1) the first- (second-) derivative relation at node i.
 
-    ``A1..A4`` multiply the stacked unknowns (u_x, u_xx); ``B1, B2`` multiply
-    the known samples.  Kept in block (non-interleaved) ordering for
-    inspection and for the solvability audit; the production solver uses the
-    interleaved banded form instead.
-    """
-
-    axis: GridAxis
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray
-    A4: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.axis.n_nodes
-
-    def full_matrix(self) -> np.ndarray:
-        """The dense 2m x 2m coefficient matrix [[A1, A2], [A3, A4]]."""
-        return np.block([[self.A1, self.A2], [self.A3, self.A4]])
-
-    def rhs_matrix(self) -> np.ndarray:
-        """The dense 2m x m right-hand-side matrix [B1; B2]."""
-        return np.vstack([self.B1, self.B2])
-
-
-def build_ccd_system(axis: GridAxis) -> CcdSystem:
-    """Assemble the CCD blocks for ``axis``.
-
-    Interior rows come from the two implicit three-point relations; the
-    first/last rows of (A1 A2 | B1) are one-sided closures with truncation
-    error +/-(h^5/90) u^(6), and the first/last rows of (A3 A4 | B2) are the
-    extra boundary relations, with truncation error (h^4/60) u^(5), that
-    complete the square system.
+    The right-hand sides ``B u`` of the same equations are formed by
+    ``_build_rhs``.
     """
     m = axis.n_nodes
     h = axis.spacing
-
-    A1 = np.zeros((m, m))
-    A2 = np.zeros((m, m))
-    A3 = np.zeros((m, m))
-    A4 = np.zeros((m, m))
-    B1 = np.zeros((m, m))
-    B2 = np.zeros((m, m))
-
-    i = np.arange(1, m - 1)
-    A1[i, i - 1] = 7 / 16
-    A1[i, i] = 1.0
-    A1[i, i + 1] = 7 / 16
-    A2[i, i - 1] = h / 16
-    A2[i, i + 1] = -h / 16
-    B1[i, i - 1] = -15 / (16 * h)
-    B1[i, i + 1] = 15 / (16 * h)
-
-    A3[i, i - 1] = -9 / (8 * h)
-    A3[i, i + 1] = 9 / (8 * h)
-    A4[i, i - 1] = -1 / 8
-    A4[i, i] = 1.0
-    A4[i, i + 1] = -1 / 8
-    B2[i, i - 1] = 3 / h**2
-    B2[i, i] = -6 / h**2
-    B2[i, i + 1] = 3 / h**2
-
-    # One-sided closure at the left node and its mirror image.
-    A1[0, 0], A1[0, 1] = 14.0, 16.0
-    A2[0, 0], A2[0, 1] = 2 * h, -4 * h
-    B1[0, 0], B1[0, 1], B1[0, 2] = -31 / h, 32 / h, -1 / h
-
-    A1[-1, -1], A1[-1, -2] = 14.0, 16.0
-    A2[-1, -1], A2[-1, -2] = -2 * h, 4 * h
-    B1[-1, -1], B1[-1, -2], B1[-1, -3] = 31 / h, -32 / h, 1 / h
-
-    # Additional boundary relations closing the 2(M+1)-unknown system.
-    A3[0, 0], A3[0, 1] = 1.0, 2.0
-    A4[0, 1] = -h
-    B2[0, 0], B2[0, 1], B2[0, 2] = -7 / (2 * h), 8 / (2 * h), -1 / (2 * h)
-
-    A3[-1, -1], A3[-1, -2] = 1.0, 2.0
-    A4[-1, -2] = h
-    B2[-1, -1], B2[-1, -2], B2[-1, -3] = 7 / (2 * h), -8 / (2 * h), 1 / (2 * h)
-
-    return CcdSystem(axis=axis, A1=A1, A2=A2, A3=A3, A4=A4, B1=B1, B2=B2)
-
-
-def _interleaved_banded(system: CcdSystem) -> np.ndarray:
-    """LAPACK band storage of the coefficient matrix with unknowns
-    interleaved as (u'_0, u''_0, u'_1, u''_1, ...), bandwidth 3."""
-    m = system.m
     n = 2 * m
     ab = np.zeros((2 * _KL + _KU + 1, n))
 
-    def put(row, col, val):
-        ab[_KL + _KU + row - col, col] = val
+    # (relation, unknown, neighbour offset) -> interior coefficient
+    interior = {
+        (0, 0, -1): 7 / 16, (0, 0, 0): 1.0, (0, 0, 1): 7 / 16,
+        (0, 1, -1): h / 16, (0, 1, 1): -h / 16,
+        (1, 0, -1): -9 / (8 * h), (1, 0, 1): 9 / (8 * h),
+        (1, 1, -1): -1 / 8, (1, 1, 0): 1.0, (1, 1, 1): -1 / 8,
+    }
+    for (rel, unk, off), value in interior.items():
+        first = 2 * (1 + off) + unk  # column of node 1's neighbour
+        ab[_KL + _KU + rel - unk - 2 * off, first:first + 2 * (m - 2):2] = value
 
-    blocks = ((system.A1, 0, 0), (system.A2, 0, 1),
-              (system.A3, 1, 0), (system.A4, 1, 1))
-    for block, roff, coff in blocks:
-        rows, cols = np.nonzero(block)
-        for r, c in zip(rows, cols):
-            put(2 * r + roff, 2 * c + coff, block[r, c])
+    # The one-sided closure at the left node, the extra boundary relation
+    # that completes the square system, and their mirror images.
+    closures = (
+        (0, ((0, 14.0), (2, 16.0), (1, 2 * h), (3, -4 * h))),
+        (1, ((0, 1.0), (2, 2.0), (3, -h))),
+        (n - 2, ((n - 2, 14.0), (n - 4, 16.0), (n - 1, -2 * h), (n - 3, 4 * h))),
+        (n - 1, ((n - 2, 1.0), (n - 4, 2.0), (n - 3, h))),
+    )
+    for row, entries in closures:
+        for col, value in entries:
+            ab[_KL + _KU + row - col, col] = value
     return ab
+
+
+def _build_rhs(u: np.ndarray, h: float) -> np.ndarray:
+    """The right-hand side B u of the interleaved system (see ``_band``)."""
+    m = u.shape[0]
+    r = np.zeros((2 * m,) + u.shape[1:])
+    r[2:2 * m - 2:2] = (15 / (16 * h)) * (u[2:] - u[:-2])
+    r[3:2 * m - 1:2] = (3 / h**2) * (u[2:] - 2 * u[1:-1] + u[:-2])
+    r[0] = -(31 * u[0] - 32 * u[1] + u[2]) / h
+    r[1] = -(7 * u[0] - 8 * u[1] + u[2]) / (2 * h)
+    r[2 * m - 2] = (31 * u[-1] - 32 * u[-2] + u[-3]) / h
+    r[2 * m - 1] = (7 * u[-1] - 8 * u[-2] + u[-3]) / (2 * h)
+    return r
+
+
+def dense_matrices(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
+    """Dense views ``(A, B)`` of the CCD equations ``A [u'; u''] = B u`` in
+    block (non-interleaved) order, A being 2m x 2m and B 2m x m.
+
+    Both are read back from the production forms, A from ``_band`` and B
+    from ``_build_rhs`` applied to the identity, so they carry no second copy
+    of the coefficients.  For tests and the solvability audit only.
+    """
+    m = axis.n_nodes
+    n = 2 * m
+    ab = _band(axis)
+    full = np.zeros((n, n))
+    cols = np.arange(n)
+    for d in range(-_KU, _KL + 1):
+        j = cols[max(0, -d):min(n, n - d)]
+        full[j + d, j] = ab[_KL + _KU + d, j]
+    block = np.r_[0:n:2, 1:n:2]
+    rhs = _build_rhs(np.eye(m), axis.spacing)
+    # + 0.0 turns the -0.0 left in the closure rows of B into 0.0
+    return full[np.ix_(block, block)], rhs[block] + 0.0
 
 
 class CcdFactorization:
@@ -157,11 +124,10 @@ class CcdFactorization:
     shared freely across pencils, directions and time steps.
     """
 
-    def __init__(self, system: CcdSystem):
-        self.axis = system.axis
-        self.m = system.m
-        ab = _interleaved_banded(system)
-        lu, ipiv, info = lapack.dgbtrf(ab, kl=_KL, ku=_KU)
+    def __init__(self, axis: GridAxis):
+        self.axis = axis
+        self.m = axis.n_nodes
+        lu, ipiv, info = lapack.dgbtrf(_band(axis), kl=_KL, ku=_KU)
         if info != 0:
             # Unreachable for valid axes: the CCD matrix is provably
             # nonsingular (see the solvability audit).
@@ -171,18 +137,6 @@ class CcdFactorization:
         self._lu = lu
         self._ipiv = ipiv
 
-    def _build_rhs(self, u: np.ndarray) -> np.ndarray:
-        h = self.axis.spacing
-        m = self.m
-        r = np.zeros((2 * m,) + u.shape[1:])
-        r[2:2 * m - 2:2] = (15 / (16 * h)) * (u[2:] - u[:-2])
-        r[3:2 * m - 1:2] = (3 / h**2) * (u[2:] - 2 * u[1:-1] + u[:-2])
-        r[0] = -(31 * u[0] - 32 * u[1] + u[2]) / h
-        r[1] = -(7 * u[0] - 8 * u[1] + u[2]) / (2 * h)
-        r[2 * m - 2] = (31 * u[-1] - 32 * u[-2] + u[-3]) / h
-        r[2 * m - 1] = (7 * u[-1] - 8 * u[-2] + u[-3]) / (2 * h)
-        return r
-
     def apply(self, samples: np.ndarray) -> DerivativePair:
         """Differentiate one pencil (shape (m,)) or a batch (shape (m, k))."""
         u = np.asarray(samples, dtype=float)
@@ -190,7 +144,7 @@ class CcdFactorization:
             raise ValueError(
                 f"expected {self.m} samples per pencil, got {u.shape[0]}"
             )
-        r = self._build_rhs(u)
+        r = _build_rhs(u, self.axis.spacing)
         flat = r.reshape(2 * self.m, -1)
         x, info = lapack.dgbtrs(self._lu, _KL, _KU, flat, self._ipiv)
         if info != 0:
@@ -208,6 +162,6 @@ def get_factorization(axis: GridAxis) -> CcdFactorization:
     key = (axis.n_cells, axis.spacing)
     fact = _CACHE.get(key)
     if fact is None:
-        fact = CcdFactorization(build_ccd_system(axis))
+        fact = CcdFactorization(axis)
         _CACHE[key] = fact
     return fact

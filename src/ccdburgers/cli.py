@@ -281,16 +281,19 @@ def cmd_table1(args) -> int:
     wall = time.perf_counter() - start
 
     axis = GridAxis(m, 0.0, 1.0)
-    nodes = axis.nodes()
+    rows = []
+    for x, t, *_ in TABLE1_ROWS:
+        idx = int(round(x / axis.spacing))
+        rows.append({"x": x, "t": t,
+                     "ccd_tvd": float(result.snapshots[t].components[0][idx]),
+                     "exact": float(spec.exact_fn(np.array([x]), t)[0][0])})
     csv_path = outdir / "table1.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "t", "CCD-TVD", "Exact", "abs_diff",
                          "HC", "RHC", "RPA", "TVCF"])
-        for x, t, hc, rhc, rpa, tvcf, _ccd_ref, _exact_ref in TABLE1_ROWS:
-            idx = int(round(x / axis.spacing))
-            computed = float(result.snapshots[t].components[0][idx])
-            exact = float(spec.exact_fn(np.array([x]), t)[0][0])
+        for row, (x, t, hc, rhc, rpa, tvcf, *_) in zip(rows, TABLE1_ROWS):
+            computed, exact = row["ccd_tvd"], row["exact"]
             writer.writerow([
                 f"{x:.2f}", f"{t:.2f}", f"{computed:.6f}", f"{exact:.6f}",
                 _fmt(abs(computed - exact)),
@@ -298,12 +301,7 @@ def cmd_table1(args) -> int:
             ])
     _manifest(outdir / "table1.json", {
         "m": m, "dt": dt, "inv_re": spec.inv_re, "wall_time_s": wall,
-        "rows": [
-            {"x": x, "t": t,
-             "ccd_tvd": float(result.snapshots[t].components[0][int(round(x / axis.spacing))]),
-             "exact": float(spec.exact_fn(np.array([x]), t)[0][0])}
-            for x, t, *_ in TABLE1_ROWS
-        ],
+        "rows": rows,
     })
     print(f"wrote {csv_path}")
     return EXIT_OK

@@ -6,6 +6,7 @@ Every oracle is residual-validated against the PDE (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,12 @@ from numpy.polynomial.legendre import leggauss
 from .model import ProblemSpec
 
 SINGULAR_TIME_3 = 1 / np.sqrt(2.0)
+
+# The example-1 series stops once a damped term falls below SERIES_TAIL_TOL;
+# both it and the quadrature tolerance are absolute, so they must stay below
+# SERIES_RTOL times the smallest value of the heat-kernel denominator.
+SERIES_TAIL_TOL = 1e-14
+SERIES_RTOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -64,11 +71,25 @@ def compute_fourier_coefficients(
     """Integrate the coefficient formulas by self-convergent quadrature.
 
     When ``n_max`` is not given, terms are added until the exponentially
-    damped tail at ``t_min`` drops below 1e-14, so the series value is
-    insensitive to further truncation for t >= t_min.
+    damped tail at ``t_min`` drops below ``SERIES_TAIL_TOL``, so the series
+    value is insensitive to further truncation for t >= t_min.
+
+    The denominator the coefficients feed is bounded below by the kernel's
+    minimum exp(-1/(pi inv_re)).  An ``inv_re`` at which the absolute
+    tolerances exceed ``SERIES_RTOL`` times that bound is refused with
+    ``ValueError``; at the default tolerances that is inv_re below 0.027648.
     """
     if not inv_re > 0:
         raise ValueError("inv_re must be positive")
+    tol = max(quad_tol, SERIES_TAIL_TOL)
+    floor = math.exp(-1 / (math.pi * inv_re))
+    if not tol <= SERIES_RTOL * floor:
+        raise ValueError(
+            f"the example-1 series oracle cannot resolve inv_re={inv_re:g}: "
+            f"its absolute tolerance {tol:g} exceeds {SERIES_RTOL:g} times the "
+            f"denominator's minimum exp(-1/(pi*inv_re)) = {floor:.3g}; "
+            f"it needs inv_re >= {1 / (math.pi * math.log(SERIES_RTOL / tol)):.4g}"
+        )
     scale = 1.0 / (2 * np.pi * inv_re)
 
     def kernel(x):
@@ -85,12 +106,12 @@ def compute_fourier_coefficients(
         coeffs.append(an)
         if n_max is None:
             damped = abs(an) * np.exp(-(n**2) * np.pi**2 * inv_re * t_min)
-            if damped < 1e-14 and n >= 8:
+            if damped < SERIES_TAIL_TOL and n >= 8:
                 break
         n += 1
     else:
         if n_max is None:
-            raise QuadratureError("series tail did not fall below 1e-14")
+            raise QuadratureError(f"series tail did not fall below {SERIES_TAIL_TOL:g}")
     return FourierCoefficients(a0=a0, a=np.array(coeffs), inv_re=inv_re)
 
 

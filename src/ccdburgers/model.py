@@ -202,7 +202,7 @@ def _boundary_setter(spec: ProblemSpec, axes: Sequence[GridAxis]):
     return set_boundary
 
 
-def _validate_initial_boundary(spec, axes, initial, set_boundary):
+def _validate_initial_boundary(initial, set_boundary):
     clamped = set_boundary(initial, 0.0)
     worst = max(
         float(np.max(np.abs(a - b))) for a, b in zip(initial, clamped)
@@ -235,7 +235,7 @@ def run(
 
     set_boundary = _boundary_setter(spec, axes)
     initial = sample_components(spec.initial_fn, axes)
-    _validate_initial_boundary(spec, axes, initial, set_boundary)
+    _validate_initial_boundary(initial, set_boundary)
     state = FieldSet(components=initial, time=0.0)
 
     snapshot_steps: dict[int, float] = {}

@@ -28,7 +28,7 @@ import math
 import numpy as np
 import pytest
 
-from ccdburgers.ccd import build_ccd_system, get_factorization
+from ccdburgers.ccd import dense_matrices, get_factorization
 from ccdburgers.exact import (
     compute_fourier_coefficients,
     example1_exact,
@@ -181,10 +181,10 @@ def test_criterion_5_operator_properties():
     # two second-closure rows (block rows m and 2m-1), whose truncation error
     # is (h^4/60) u^(5); both checks at 1e-10 relative
     c = rng.standard_normal(6)
-    system = build_ccd_system(ax)
-    rhs = system.rhs_matrix() @ poly.polyval(x, c)
+    A, B = dense_matrices(ax)
+    rhs = B @ poly.polyval(x, c)
     exact_pair = np.concatenate([poly.polyval(x, poly.polyder(c, k)) for k in (1, 2)])
-    residual = system.full_matrix() @ exact_pair - rhs
+    residual = A @ exact_pair - rhs
     closure_rows = [ax.n_nodes, 2 * ax.n_nodes - 1]
     d5 = poly.polyval(x[[0, -1]], poly.polyder(c, 5))
     expected = np.zeros_like(residual)
@@ -215,21 +215,22 @@ def test_criterion_5_operator_properties():
         failures.append("linearity")
 
     # solve residual ||A [u'; u''] - B u|| <= 1e-10 relative on random input
-    big = build_ccd_system(GridAxis(64))
+    big = GridAxis(64)
+    A, B = dense_matrices(big)
     w = rng.standard_normal(65)
-    pair = get_factorization(big.axis).apply(w)
-    rhs = big.rhs_matrix() @ w
-    res = big.full_matrix() @ np.concatenate([pair.first, pair.second]) - rhs
+    pair = get_factorization(big).apply(w)
+    rhs = B @ w
+    res = A @ np.concatenate([pair.first, pair.second]) - rhs
     if np.max(np.abs(res)) > 1e-10 * (1 + np.max(np.abs(rhs))):
         failures.append("solve residual")
 
     # banded solve vs the dense product A^-1 B u, 1e-12 relative
     for n_cells in (8, 63):
-        system = build_ccd_system(GridAxis(n_cells))
-        m = system.m
+        axis = GridAxis(n_cells)
+        m = axis.n_nodes
         s = rng.standard_normal(m)
-        banded = get_factorization(system.axis).apply(s)
-        dense = np.linalg.solve(system.full_matrix(), system.rhs_matrix()) @ s
+        banded = get_factorization(axis).apply(s)
+        dense = np.linalg.solve(*dense_matrices(axis)) @ s
         gap = max(
             np.max(np.abs(got - want)) / (np.max(np.abs(want)) + 1)
             for got, want in ((banded.first, dense[:m]), (banded.second, dense[m:]))

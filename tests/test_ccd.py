@@ -1,13 +1,15 @@
 """Combined compact difference operator: assembly, factorization, accuracy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccdburgers.ccd import build_ccd_system, get_factorization
+import ccdburgers
+from ccdburgers.ccd import CcdFactorization, dense_matrices, get_factorization
 from ccdburgers.grid import GridAxis
 
 
@@ -29,36 +31,67 @@ def test_axis_rejects_bad_interval():
         GridAxis(8, 1.0, 1.0)
 
 
+def _blocks(axis):
+    """The blocks A1, A2, A3, A4, B1, B2 of [[A1, A2], [A3, A4]] [u'; u'']
+    = [B1; B2] u, as slices of the dense views."""
+    A, B = dense_matrices(axis)
+    m = axis.n_nodes
+    return A[:m, :m], A[:m, m:], A[m:, :m], A[m:, m:], B[:m], B[m:]
+
+
 def test_system_entries_match_definition():
-    system = build_ccd_system(GridAxis(4, 0.0, 4.0))  # h = 1
-    assert system.m == 5
-    assert system.A1[0, 0] == 14.0 and system.A1[0, 1] == 16.0
-    assert system.A2[0, 0] == 2.0 and system.A2[0, 1] == -4.0
-    assert system.A3[0, 0] == 1.0 and system.A3[0, 1] == 2.0
-    assert system.A4[0, 0] == 0.0 and system.A4[0, 1] == -1.0
+    ax = GridAxis(4, 0.0, 4.0)  # h = 1
+    A, B = dense_matrices(ax)
+    assert A.shape == (10, 10) and B.shape == (10, 5)
+    A1, A2, A3, A4, B1, B2 = _blocks(ax)
+    assert A1[0, 0] == 14.0 and A1[0, 1] == 16.0
+    assert A2[0, 0] == 2.0 and A2[0, 1] == -4.0
+    assert A3[0, 0] == 1.0 and A3[0, 1] == 2.0
+    assert A4[0, 0] == 0.0 and A4[0, 1] == -1.0
     i = 2
-    assert system.A1[i, i - 1] == 7 / 16 and system.A1[i, i] == 1.0
-    assert system.A2[i, i - 1] == 1 / 16 and system.A2[i, i + 1] == -1 / 16
-    assert system.A4[i, i - 1] == -1 / 8 and system.A4[i, i] == 1.0
-    assert system.B1[i, i + 1] == 15 / 16
-    assert system.B2[i, i] == -6.0
+    assert A1[i, i - 1] == 7 / 16 and A1[i, i] == 1.0
+    assert A2[i, i - 1] == 1 / 16 and A2[i, i + 1] == -1 / 16
+    assert A4[i, i - 1] == -1 / 8 and A4[i, i] == 1.0
+    assert B1[i, i + 1] == 15 / 16
+    assert B2[i, i] == -6.0
     # mirrored closures at the right end
-    assert system.A1[-1, -1] == 14.0 and system.A1[-1, -2] == 16.0
-    assert system.A2[-1, -1] == -2.0 and system.A2[-1, -2] == 4.0
+    assert A1[-1, -1] == 14.0 and A1[-1, -2] == 16.0
+    assert A2[-1, -1] == -2.0 and A2[-1, -2] == 4.0
 
 
 def test_interior_stencil_scales_with_spacing():
-    system = build_ccd_system(GridAxis(4, 0.0, 2.0))  # h = 0.5
+    A3 = _blocks(GridAxis(4, 0.0, 2.0))[2]  # h = 0.5
     i = 2
-    assert system.A3[i, i - 1] == -9 / 4
-    assert system.A3[i, i + 1] == 9 / 4
+    assert A3[i, i - 1] == -9 / 4
+    assert A3[i, i + 1] == 9 / 4
 
 
 def test_small_system_well_conditioned():
     # 6 nodes at spacing 0.2
-    system = build_ccd_system(GridAxis(5, 0.0, 1.0))
-    rcond = 1.0 / np.linalg.cond(system.full_matrix())
+    A, _ = dense_matrices(GridAxis(5, 0.0, 1.0))
+    rcond = 1.0 / np.linalg.cond(A)
     assert rcond > 1e-8
+
+
+def test_factorization_holds_no_dense_matrix():
+    # the band of 2050 unknowns is 164 KB; six dense 1025 x 1025 blocks
+    # would be 48 MiB
+    tracemalloc.start()
+    try:
+        fact = CcdFactorization(GridAxis(1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fact.m == 1025
+    assert peak < 2**20
+
+
+def test_public_names_resolve():
+    for name in ccdburgers.__all__:
+        assert hasattr(ccdburgers, name), name
+    namespace = {}
+    exec("from ccdburgers import *", namespace)
+    assert set(ccdburgers.__all__) <= set(namespace)
 
 
 def test_constants_annihilated():
@@ -117,13 +150,14 @@ def test_linearity(a, b, seed):
 
 
 def _assert_small_residual(n_cells, rng):
-    # ||A [u'; u''] - B u|| from the dense blocks
-    system = build_ccd_system(GridAxis(n_cells))
-    u = rng.standard_normal(system.m)
-    pair = get_factorization(system.axis).apply(u)
-    rhs = system.rhs_matrix() @ u
+    # ||A [u'; u''] - B u|| from the dense views
+    ax = GridAxis(n_cells)
+    A, B = dense_matrices(ax)
+    u = rng.standard_normal(ax.n_nodes)
+    pair = get_factorization(ax).apply(u)
+    rhs = B @ u
     unknowns = np.concatenate([pair.first, pair.second])
-    residual = system.full_matrix() @ unknowns - rhs
+    residual = A @ unknowns - rhs
     assert np.max(np.abs(residual)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
 
 
@@ -136,7 +170,7 @@ def test_large_axis_residual(rng):
     _assert_small_residual(100, rng)
 
 
-# the banded solve against the dense product A^-1 B of the block system;
+# the banded solve against the dense product A^-1 B of the dense views;
 # 10 cells on [0, 0.5] gives a spacing that is not 1/n_cells
 @pytest.mark.parametrize(
     "n_cells,right",
@@ -144,11 +178,11 @@ def test_large_axis_residual(rng):
     ids=["4", "8", "31", "63", "10-half"],
 )
 def test_banded_matches_dense_product(n_cells, right, rng):
-    system = build_ccd_system(GridAxis(n_cells, 0.0, right))
-    dense = np.linalg.solve(system.full_matrix(), system.rhs_matrix())
-    u = rng.standard_normal(system.m)
-    pair = get_factorization(system.axis).apply(u)
-    m = system.m
+    ax = GridAxis(n_cells, 0.0, right)
+    dense = np.linalg.solve(*dense_matrices(ax))
+    u = rng.standard_normal(ax.n_nodes)
+    pair = get_factorization(ax).apply(u)
+    m = ax.n_nodes
     np.testing.assert_allclose(pair.first, dense[:m] @ u, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(pair.second, dense[m:] @ u, rtol=1e-12, atol=1e-12)
 

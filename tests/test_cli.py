@@ -197,8 +197,18 @@ def test_converge_outputs_are_deterministic(tmp_path):
 
 # --- table1 -----------------------------------------------------------------
 
-def test_table1_structure_on_coarse_grid(tmp_path):
+def test_table1_structure_on_coarse_grid(tmp_path, monkeypatch):
     # coarse, fast configuration: exercises the pipeline, not the accuracy
+    from ccdburgers import exact
+
+    calls = []
+    oracle = exact.example1_exact
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(exact, "example1_exact", counted)
     rc = cli.main([
         "table1", "--m", "20", "--dt", "0.00125", "--outdir", str(tmp_path),
     ])
@@ -208,6 +218,11 @@ def test_table1_structure_on_coarse_grid(tmp_path):
     assert len(rows) == 13
     for row in rows[1:]:
         assert abs(float(row[2]) - float(row[3])) < 5e-3
+    # one oracle evaluation per table point feeds both the CSV and the manifest
+    assert len(calls) == 12
+    manifest = json.loads((tmp_path / "table1.json").read_text())
+    for row, entry in zip(rows[1:], manifest["rows"]):
+        assert row[3] == f"{entry['exact']:.6f}"
 
 
 # --- audit ------------------------------------------------------------------

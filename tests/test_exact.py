@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ccdburgers import cli
 from ccdburgers.exact import (
     EXAMPLES,
     SINGULAR_TIME_3,
@@ -87,9 +88,20 @@ def test_leading_coefficient_limit():
     assert abs(strong.a0 - 1.0) < 0.05
 
 
-def test_coefficients_reject_bad_inv_re():
+def test_coefficients_reject_bad_inv_re(tmp_path, capsys):
     with pytest.raises(ValueError):
         compute_fourier_coefficients(-0.1)
+    # too small to resolve: the denominator's minimum exp(-1/(pi inv_re)) is
+    # 1.5e-14 at 0.01, below the absolute quadrature tolerance 1e-13
+    for inv_re in (0.01, 1e-6):
+        with pytest.raises(ValueError, match="inv_re >= 0.02765"):
+            compute_fourier_coefficients(inv_re)
+        rc = cli.main(["solve", "--example", "1", "--inv-re", str(inv_re),
+                       "--m", "16", "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: the example-1 series oracle")
+        assert "Traceback" not in err
 
 
 def test_example1_spec_consistency(coeffs01):
