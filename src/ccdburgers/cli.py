@@ -269,10 +269,15 @@ def cmd_converge(args) -> int:
 
 def cmd_table1(args) -> int:
     opts = _merged_options(args)
-    outdir = Path(opts.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
     m = int(opts.get("m", 80))
     dt = float(opts.get("dt", 1e-5))
+    # the table's abscissas 0.25, 0.5 and 0.75 must be grid nodes
+    if m % 4:
+        raise ConfigError(
+            f"table1 needs m a multiple of 4 so that x = 0.25, 0.5, 0.75 "
+            f"are grid nodes, got {m}")
+    outdir = Path(opts.get("outdir", "."))
+    outdir.mkdir(parents=True, exist_ok=True)
 
     spec = EXAMPLES[1](final_time=1.0)
     times = sorted({t for _, t, *_ in TABLE1_ROWS})

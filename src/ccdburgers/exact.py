@@ -10,42 +10,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .model import ProblemSpec
 
 SINGULAR_TIME_3 = 1 / np.sqrt(2.0)
 
-# The example-1 series stops once a damped term falls below SERIES_TAIL_TOL;
-# both it and the quadrature tolerance are absolute, so they must stay below
-# SERIES_RTOL times the smallest value of the heat-kernel denominator.
+# The example-1 oracle is held to the absolute accuracy SERIES_ATOL, and its
+# series stops once a damped term falls below SERIES_TAIL_TOL.  Both are
+# absolute, so they must stay below SERIES_RTOL times the smallest value of
+# the heat-kernel denominator.
+SERIES_ATOL = 1e-13
 SERIES_TAIL_TOL = 1e-14
 SERIES_RTOL = 1e-8
-
-
-class QuadratureError(RuntimeError):
-    pass
-
-
-def _gauss_composite(f, lo: float, hi: float, tol: float) -> float:
-    """Composite 16-point Gauss-Legendre with panel doubling until two
-    successive refinements agree to ``tol`` absolutely."""
-    xg, wg = leggauss(16)
-    prev = None
-    panels = 4
-    while panels <= 4096:
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1] - edges[0])
-        x = mid + half * xg[None, :]
-        total = half * float(np.sum(f(x) * wg[None, :]))
-        if prev is not None and abs(total - prev) <= tol:
-            return total
-        prev = total
-        panels *= 2
-    raise QuadratureError(
-        f"quadrature did not reach tolerance {tol:g} within 4096 panels"
-    )
 
 
 @dataclass(frozen=True)
@@ -62,26 +38,25 @@ class FourierCoefficients:
         return len(self.a)
 
 
-def compute_fourier_coefficients(
-    inv_re: float,
-    n_max: int | None = None,
-    quad_tol: float = 1e-13,
-    t_min: float = 0.05,
-) -> FourierCoefficients:
-    """Integrate the coefficient formulas by self-convergent quadrature.
+def compute_fourier_coefficients(inv_re: float) -> FourierCoefficients:
+    """Cosine coefficients of the kernel exp(-s (1 - cos pi x)) on [0, 1],
+    s = 1/(2 pi inv_re), in closed form.
 
-    When ``n_max`` is not given, terms are added until the exponentially
-    damped tail at ``t_min`` drops below ``SERIES_TAIL_TOL``, so the series
-    value is insensitive to further truncation for t >= t_min.
+    By the generating function exp(s cos t) = I0(s) + 2 sum In(s) cos nt
+    (Abramowitz & Stegun 9.6.34), a0 = exp(-s) I0(s) and
+    an = 2 exp(-s) In(s).  Terms are kept up to the first n >= 8 whose
+    damped size |an| exp(-n^2 pi^2 inv_re t) at t = 0.05 falls below
+    ``SERIES_TAIL_TOL``, so the series value is insensitive to further
+    truncation for t >= 0.05.
 
     The denominator the coefficients feed is bounded below by the kernel's
     minimum exp(-1/(pi inv_re)).  An ``inv_re`` at which the absolute
     tolerances exceed ``SERIES_RTOL`` times that bound is refused with
-    ``ValueError``; at the default tolerances that is inv_re below 0.027648.
+    ``ValueError``; that is inv_re below 0.027648.
     """
     if not inv_re > 0:
         raise ValueError("inv_re must be positive")
-    tol = max(quad_tol, SERIES_TAIL_TOL)
+    tol = max(SERIES_ATOL, SERIES_TAIL_TOL)
     floor = math.exp(-1 / (math.pi * inv_re))
     if not tol <= SERIES_RTOL * floor:
         raise ValueError(
@@ -90,29 +65,22 @@ def compute_fourier_coefficients(
             f"denominator's minimum exp(-1/(pi*inv_re)) = {floor:.3g}; "
             f"it needs inv_re >= {1 / (math.pi * math.log(SERIES_RTOL / tol)):.4g}"
         )
-    scale = 1.0 / (2 * np.pi * inv_re)
+    # Imported here, not at module level: scipy.special adds about 3 MiB of
+    # resident memory, which only example 1 should pay.
+    from scipy.special import ive
 
-    def kernel(x):
-        return np.exp(-scale * (1 - np.cos(np.pi * x)))
-
-    a0 = _gauss_composite(kernel, 0.0, 1.0, quad_tol)
+    s = 1.0 / (2 * np.pi * inv_re)
     coeffs = []
     n = 1
-    limit = n_max if n_max is not None else 2000
-    while n <= limit:
-        an = 2 * _gauss_composite(
-            lambda x, n=n: kernel(x) * np.cos(n * np.pi * x), 0.0, 1.0, quad_tol
-        )
+    while True:
+        an = 2 * ive(n, s)
         coeffs.append(an)
-        if n_max is None:
-            damped = abs(an) * np.exp(-(n**2) * np.pi**2 * inv_re * t_min)
-            if damped < SERIES_TAIL_TOL and n >= 8:
-                break
+        damped = an * np.exp(-(n**2) * np.pi**2 * inv_re * 0.05)
+        if damped < SERIES_TAIL_TOL and n >= 8:
+            break
         n += 1
-    else:
-        if n_max is None:
-            raise QuadratureError(f"series tail did not fall below {SERIES_TAIL_TOL:g}")
-    return FourierCoefficients(a0=a0, a=np.array(coeffs), inv_re=inv_re)
+    return FourierCoefficients(a0=float(ive(0, s)), a=np.array(coeffs),
+                               inv_re=inv_re)
 
 
 def example1_exact(x, t: float, coeffs: FourierCoefficients):

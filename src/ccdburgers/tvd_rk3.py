@@ -24,10 +24,6 @@ STAGE_WEIGHTS = (
 class UnstableStepError(RuntimeError):
     """Raised when a stage produces non-finite values (blow-up)."""
 
-    def __init__(self, message: str, max_magnitude: float = float("inf")):
-        super().__init__(message)
-        self.max_magnitude = max_magnitude
-
 
 @dataclass(frozen=True)
 class FieldSet:
@@ -51,7 +47,7 @@ def _check_finite(fields: Sequence[np.ndarray], label: str) -> None:
             peak = float(np.max(np.abs(finite))) if finite.size else float("inf")
             raise UnstableStepError(
                 f"non-finite values in {label}; largest finite magnitude "
-                f"{peak:.3e}", peak,
+                f"{peak:.3e}"
             )
 
 

@@ -6,8 +6,8 @@ from ccdburgers.exact import compute_fourier_coefficients
 
 @pytest.fixture(scope="session")
 def coeffs01():
-    """Fourier coefficients of the 1D benchmark at 1/Re = 0.1 (slow to
-    build, shared across the whole session)."""
+    """Fourier coefficients of the 1D benchmark at 1/Re = 0.1, shared
+    across the whole session."""
     return compute_fourier_coefficients(0.1)
 
 

@@ -223,6 +223,11 @@ def test_table1_structure_on_coarse_grid(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "table1.json").read_text())
     for row, entry in zip(rows[1:], manifest["rows"]):
         assert row[3] == f"{entry['exact']:.6f}"
+    # x = 0.25 is not a node of a 7-cell grid: refused, not rounded
+    bad = tmp_path / "m7"
+    rc = cli.main(["table1", "--m", "7", "--dt", "1e-3", "--outdir", str(bad)])
+    assert rc == 2
+    assert not (bad / "table1.csv").exists()
 
 
 # --- audit ------------------------------------------------------------------

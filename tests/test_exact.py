@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ive
 
 from ccdburgers import cli
 from ccdburgers.exact import (
     EXAMPLES,
     SINGULAR_TIME_3,
+    FourierCoefficients,
     compute_fourier_coefficients,
     example1_exact,
     example1_spec,
@@ -72,8 +75,33 @@ def test_series_requires_positive_time(coeffs01):
         example1_exact(np.array([0.5]), 0.0, coeffs01)
 
 
+def _kernel_quadrature(inv_re, n):
+    """Cosine coefficients 0..n of exp(-s (1 - cos pi x)) on [0, 1],
+    s = 1/(2 pi inv_re), by 16-point Gauss-Legendre on 16 equal panels:
+    a reference that shares nothing with the closed form."""
+    xg, wg = leggauss(16)
+    edges = np.linspace(0.0, 1.0, 17)
+    half = 0.5 * (edges[1] - edges[0])
+    x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * xg).ravel()
+    w = np.tile(half * wg, 16)
+    kernel = np.exp(-(1 - np.cos(np.pi * x)) / (2 * np.pi * inv_re))
+    k = np.arange(n + 1)
+    return np.cos(np.pi * np.multiply.outer(k, x)) @ (w * kernel) * np.where(k, 2, 1)
+
+
+def test_coefficients_match_kernel_quadrature():
+    for inv_re in (0.02765, 0.1, 1.0, 10.0):
+        coeffs = compute_fourier_coefficients(inv_re)
+        ref = _kernel_quadrature(inv_re, coeffs.n_trunc)
+        assert abs(coeffs.a0 - ref[0]) <= 1e-15
+        assert np.max(np.abs(coeffs.a - ref[1:])) <= 1e-15
+
+
 def test_series_truncation_insensitive(coeffs01):
-    longer = compute_fourier_coefficients(0.1, n_max=coeffs01.n_trunc + 10)
+    s = 1 / (2 * np.pi * coeffs01.inv_re)
+    longer = FourierCoefficients(
+        coeffs01.a0, 2 * ive(np.arange(1, coeffs01.n_trunc + 11), s),
+        coeffs01.inv_re)
     for t in (0.05, 0.4):
         a = example1_exact(np.array([0.3, 0.7]), t, coeffs01)
         b = example1_exact(np.array([0.3, 0.7]), t, longer)
@@ -82,8 +110,8 @@ def test_series_truncation_insensitive(coeffs01):
 
 def test_leading_coefficient_limit():
     # the kernel flattens to 1 as the diffusivity grows
-    weak = compute_fourier_coefficients(1.0, n_max=8)
-    strong = compute_fourier_coefficients(10.0, n_max=8)
+    weak = compute_fourier_coefficients(1.0)
+    strong = compute_fourier_coefficients(10.0)
     assert strong.a0 > weak.a0
     assert abs(strong.a0 - 1.0) < 0.05
 
