@@ -1,8 +1,9 @@
 """Numerical audit of the unique-solvability argument for the CCD system.
 
 Reproduces, in floating point, the determinant-reduction pipeline that
-exhibits a strictly diagonally dominant 10x10 matrix, and sweeps node
-counts and spacings for well-conditioning of the assembled system.  The
+exhibits a strictly diagonally dominant 10x10 matrix, checking the
+block-determinant step it rests on, and sweeps node counts and spacings for
+well-conditioning of the assembled system.  The
 elementary-transformation multipliers are taken verbatim from the published
 radical expressions, so the audit fails if those printed constants were
 wrong rather than silently recomputing them.
@@ -10,7 +11,7 @@ wrong rather than silently recomputing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,67 +56,9 @@ class SemiCirculant3:
 
 
 @dataclass(frozen=True)
-class FiveDiagonalProduct:
-    """Product of two semi-circulant tridiagonals: a five-diagonal matrix
-    with two special rows at each end."""
-
-    m: int
-    c: tuple[float, ...]  # interior stencil, 5 entries
-    d: tuple[float, ...]  # second/penultimate rows, 8 entries
-    e: tuple[float, ...]  # first/last rows, 6 entries
-
-    def materialize(self) -> np.ndarray:
-        m = self.m
-        out = np.zeros((m, m))
-        i = np.arange(2, m - 2)
-        for k in range(5):
-            out[i, i - 2 + k] = self.c[k]
-        out[0, 0:3] = self.e[0:3]
-        out[1, 0:4] = self.d[0:4]
-        out[m - 2, m - 4:m] = self.d[4:8]
-        out[m - 1, m - 3:m] = self.e[3:6]
-        return out
-
-
-def semi_circulant_product(A: SemiCirculant3, B: SemiCirculant3) -> FiveDiagonalProduct:
-    """Structured product A @ B via the closed-form coefficient identities."""
-    if A.m != B.m:
-        raise ValueError("size mismatch")
-    if A.m < 5:
-        raise ValueError("the five-diagonal pattern needs m >= 5")
-    a1, a2, a3, a4, a5, a6, a7 = A.a, A.b, A.c, A.d, A.e, A.f, A.g
-    b1, b2, b3, b4, b5, b6, b7 = B.a, B.b, B.c, B.d, B.e, B.f, B.g
-    e = (
-        a4 * b4 + a5 * b1,
-        a4 * b5 + a5 * b2,
-        a5 * b3,
-        a7 * b1,
-        a6 * b7 + a7 * b2,
-        a7 * b3 + a6 * b6,
-    )
-    d = (
-        a1 * b4 + a2 * b1,
-        a1 * b5 + a2 * b2 + a3 * b1,
-        a2 * b3 + a3 * b2,
-        a3 * b3,
-        a1 * b1,
-        a1 * b2 + a2 * b1,
-        a1 * b3 + a2 * b2 + a3 * b7,
-        a2 * b3 + a3 * b6,
-    )
-    c = (
-        a1 * b1,
-        a1 * b2 + a2 * b1,
-        a1 * b3 + a2 * b2 + a3 * b1,
-        a2 * b3 + a3 * b2,
-        a3 * b3,
-    )
-    return FiveDiagonalProduct(m=A.m, c=c, d=d, e=e)
-
-
-@dataclass(frozen=True)
 class BlockDeterminantReport:
     commutator_norm: float
+    commutes: bool
     det_block: float
     det_reduced: float
     relative_gap: float
@@ -126,20 +69,23 @@ def block_determinant_identity_check(
     A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
     rtol: float = 1e-8,
 ) -> BlockDeterminantReport:
-    """Check det([[A, B], [C, D]]) == det(A D - C B) for commuting A, C."""
+    """Check det([[A, B], [C, D]]) == det(A D - C B), which holds when A and
+    C commute (Silvester 2000, Math. Gazette 84:460).  Blocks that do not
+    commute give a failed report, not an exception."""
     comm = float(np.max(np.abs(A @ C - C @ A)))
-    if comm > 1e-12 * max(1.0, float(np.max(np.abs(A))) * float(np.max(np.abs(C)))):
-        raise ValueError(f"A and C do not commute (||AC-CA||_inf = {comm:.3e})")
+    commutes = comm <= 1e-12 * max(
+        1.0, float(np.max(np.abs(A))) * float(np.max(np.abs(C))))
     det_block = float(np.linalg.det(np.block([[A, B], [C, D]])))
     det_reduced = float(np.linalg.det(A @ D - C @ B))
     scale = max(abs(det_block), abs(det_reduced), 1e-300)
     gap = abs(det_block - det_reduced) / scale
     return BlockDeterminantReport(
         commutator_norm=comm,
+        commutes=commutes,
         det_block=det_block,
         det_reduced=det_reduced,
         relative_gap=gap,
-        ok=gap <= rtol,
+        ok=commutes and gap <= rtol,
     )
 
 
@@ -160,46 +106,6 @@ def assemble_full_ccd_matrix(m: int, h: float = 1.0) -> np.ndarray:
         raise ValueError("audit assembly needs m >= 4")
     A1, A2, A3, A4 = (blk.materialize() for blk in ccd_blocks_semicirculant(m, h))
     return np.block([[A1, A2], [A3, A4]])
-
-
-def appendix_constants() -> dict[str, float]:
-    """Floating-point values of the published radical constants T1..T19."""
-    s = SQRT7
-    return {
-        "T1": -136835 / 8209824 + 421733 * s / 36944208,
-        "T2": -416144963942525 * s / 864691128455135232,
-        "T3": -46840306656146665409 * s / 41595480345574524321792 + 6115 / 2052456,
-        "T4": -46840306656146665409 * s / 41595480345574524321792 + 6115 / 2052456,
-        "T5": 21881309630676858473952943462656048141172736 * s
-        / 4667640113605791995493311956355581953955543731
-        - 2893014312251833953326629616913521171234816
-        / 518626679289532443943701328483953550439504859,
-        "T6": -267591658885243284604171740430098010027602763
-        / 33192107474530076412396885022973027228128310976
-        + 587650275369111747907115169185577623944244693 * s
-        / 37341120908846335963946495650844655631644349848,
-        "T7": -1799614987336256538927773374693436599301849447 * s
-        / 298728967270770687711571965206757245053154798784
-        - 442381615984325718712039486584685244485625
-        / 691502239052709925258268437978604733919339812,
-        "T8": 60812707732120381749986704242152551792357469 * s
-        / 18670560454423167981973247825422327815822174924
-        + 900723013413257827633193252372996530470617
-        / 922002985403613233677691250638139645225786416,
-        "T9": 5235921989442888980950159 * s / 183849407004430256490676224
-        + 41853249163690425155625 / 40855423778762279220150272,
-        "T10": 640001231916311360619949 * s / 551548221013290769472028672
-        + 33366161622715196997673 / 40855423778762279220150272,
-        "T11": 69251 * s / 2574720 + 133 / 85824,
-        "T12": 37 * s / 3456,
-        "T13": -s / 17280,
-        "T14": 34711 * s / 8582400 + 7073 / 1430400,
-        "T15": -3197 * s / 1029888 + 2315 / 85824,
-        "T16": -4733 * s / 2574720 + 479 / 107280,
-        "T17": -547 * s / 80460 - 29 / 26820,
-        "T18": 2711 * s / 16092 - 1495 / 5364,
-        "T19": 547 * s / 80460 + 29 / 26820,
-    }
 
 
 # Elementary-transformation multipliers, verbatim from the published
@@ -229,22 +135,24 @@ _CN2 = (2269 - 570 * SQRT7) / 1490
 class ReductionReport:
     matrix: np.ndarray
     dominance_margins: np.ndarray
+    determinant: BlockDeterminantReport
     ok: bool = field(init=False)
 
     def __post_init__(self):
-        self.ok = bool(np.all(self.dominance_margins > 0))
+        self.ok = bool(np.all(self.dominance_margins > 0)) and self.determinant.ok
 
 
-def appendix_b_reduction(n: int = 10) -> ReductionReport:
-    """Replay the scripted determinant reduction for the n = 10 case.
+def appendix_b_reduction() -> ReductionReport:
+    """Replay the scripted determinant reduction for the 10-node case.
 
-    Builds the 2n x 2n system at unit spacing, applies the published row
-    and column combinations, collapses to the five-diagonal Schur-style
-    product, then the seven elementary steps, and reports per-row strict
-    diagonal dominance margins 2|a_ii| - sum_j |a_ij| of the result.
+    Builds the 2n x 2n system (n = 10) at unit spacing, applies the
+    published row and column combinations, and checks that the block
+    determinant lemma carries the determinant of the result over to the
+    n x n product A D - B C.  Then applies the seven elementary steps to that
+    product and reports per-row strict diagonal dominance margins
+    2|a_ii| - sum_j |a_ij| of the outcome.
     """
-    if n != 10:
-        raise ValueError("the published elementary steps are written for n = 10")
+    n = 10  # the published elementary steps are written for 10 nodes
     a = 6 * SQRT7 / 7
     b = 3 * SQRT7
     A1, A2, A3, A4 = (blk.materialize() for blk in ccd_blocks_semicirculant(n, 1.0))
@@ -259,6 +167,10 @@ def appendix_b_reduction(n: int = 10) -> ReductionReport:
     a5[n, :] /= a5[n, 0]
     a5[2 * n - 1, :] /= a5[2 * n - 1, n - 1]
 
+    # the row operations make the lower-left block C the identity, so A and
+    # C commute and A D - C B is the product A D - B C formed below
+    determinant = block_determinant_identity_check(
+        a5[:n, :n], a5[:n, n:], a5[n:, :n], a5[n:, n:])
     a6 = a5[:n, :n] @ a5[n:, n:] - a5[:n, n:] @ a5[n:, :n]
 
     a6[0, :] += -_STEP1_K2 * a6[1, :] + _STEP1_K3 * a6[2, :] - _STEP1_K4 * a6[3, :]
@@ -270,7 +182,8 @@ def appendix_b_reduction(n: int = 10) -> ReductionReport:
     a6[n - 2, :] -= 0.1 * (a6[n - 3, :] + a6[n - 1, :])
 
     margins = 2 * np.abs(np.diag(a6)) - np.abs(a6).sum(axis=1)
-    return ReductionReport(matrix=a6, dominance_margins=margins)
+    return ReductionReport(matrix=a6, dominance_margins=margins,
+                           determinant=determinant)
 
 
 @dataclass(frozen=True)
@@ -283,13 +196,10 @@ class SweepRow:
 
 
 def nonsingularity_sweep(
-    m_values=DEFAULT_SWEEP_NODES,
-    h_values=(1.0, 0.1, 0.01),
-    rcond_min: float = 1e-12,
-    seed: int = 20240901,
+    m_values=DEFAULT_SWEEP_NODES, h_values=(1.0, 0.1, 0.01)
 ) -> list[SweepRow]:
     """Conditioning and solve-residual sweep over (m, h) pairs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240901)
     rows = []
     for h in h_values:
         for m in m_values:
@@ -303,7 +213,7 @@ def nonsingularity_sweep(
             )
             rows.append(SweepRow(
                 m=m, h=h, rcond=rcond, solve_residual=res,
-                ok=(rcond > rcond_min and res < 1e-10),
+                ok=(rcond > 1e-12 and res < 1e-10),
             ))
     return rows
 
@@ -316,12 +226,10 @@ def cross_module_consistency(m: int, h: float) -> bool:
     return bool(np.array_equal(A, assemble_full_ccd_matrix(m, h)))
 
 
-def audit_report(
-    m_values=DEFAULT_SWEEP_NODES, h_values=(1.0, 0.1, 0.01)
-) -> dict:
+def audit_report() -> dict:
     """Full audit as a JSON-serializable report."""
     reduction = appendix_b_reduction()
-    sweep = nonsingularity_sweep(m_values, h_values)
+    sweep = nonsingularity_sweep()
     consistency = all(cross_module_consistency(m, h) for m in (5, 10, 32) for h in (1.0, 0.25))
     ok = reduction.ok and all(r.ok for r in sweep) and consistency
     return {
@@ -330,6 +238,7 @@ def audit_report(
             "dominance_margins": reduction.dominance_margins.tolist(),
             "ok": reduction.ok,
         },
+        "determinant": asdict(reduction.determinant),
         "sweep": [
             {"m": r.m, "h": r.h, "rcond": r.rcond,
              "solve_residual": r.solve_residual, "ok": r.ok}

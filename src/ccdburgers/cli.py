@@ -9,11 +9,9 @@ subcommand reads; any command-line option overrides the file.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import ast
 import csv
 import json
 import math
-import operator
 import struct
 import sys
 import time
@@ -22,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ccd import get_factorization
 from .exact import EXAMPLES
 from .grid import GridAxis
 from .model import InstabilityError, linf_errors, run
@@ -45,7 +42,6 @@ COMMAND_KEYS = {
     "converge": ("example", "m_list", "dt", "final_time", "inv_re", "variant", "outdir"),
     "table1": ("outdir", "m", "dt"),
     "audit": ("outdir",),
-    "derive": ("m", "left", "right", "expr", "outdir"),
 }
 CONFIG_KEYS = frozenset(k for keys in COMMAND_KEYS.values() for k in keys)
 
@@ -321,68 +317,13 @@ def cmd_audit(args) -> int:
     path.write_text(json.dumps(report, indent=2) + "\n")
     margins = report["reduction"]["dominance_margins"]
     print(f"dominance margins: min={min(margins):.4g}")
+    det = report["determinant"]
+    print(f"block determinant: {det['det_block']:.6g}, "
+          f"relative gap {det['relative_gap']:.2g}")
     failed = [r for r in report["sweep"] if not r["ok"]]
     print(f"sweep: {len(report['sweep'])} cases, {len(failed)} failures")
     print(f"wrote {path}")
     return EXIT_OK if report["ok"] else EXIT_AUDIT
-
-
-_EXPR_FUNCTIONS = {"sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh",
-                   "cosh", "sinh"}
-_EXPR_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
-                   ast.Mult: operator.mul, ast.Div: operator.truediv,
-                   ast.Pow: operator.pow, ast.USub: operator.neg}
-
-
-def evaluate_expression(expr: str, x: np.ndarray):
-    """Evaluate ``expr`` built from numbers, ``x``, ``pi``, ``e``, ``+ - * /
-    **``, unary minus and ``_EXPR_FUNCTIONS``; reject anything else."""
-    names = {"x": x, "pi": np.pi, "e": np.e}
-
-    def value(node):
-        op = _EXPR_OPERATORS.get(type(getattr(node, "op", None)))
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return float(node.value)  # float powers overflow, never hang
-        if isinstance(node, ast.Name) and node.id in names:
-            return names[node.id]
-        if isinstance(node, ast.BinOp) and op is not None:
-            return op(value(node.left), value(node.right))
-        if isinstance(node, ast.UnaryOp) and op is not None:
-            return op(value(node.operand))
-        if (isinstance(node, ast.Call) and len(node.args) == 1
-                and getattr(node.func, "id", None) in _EXPR_FUNCTIONS
-                and not node.keywords):
-            return getattr(np, node.func.id)(value(node.args[0]))
-        raise ValueError(f"unsupported syntax: {type(node).__name__}")
-
-    return value(ast.parse(expr, mode="eval").body)
-
-
-def cmd_derive(args) -> int:
-    opts = _merged_options(args)
-    m = int(opts.get("m", 32))
-    left = float(opts.get("left", 0.0))
-    right = float(opts.get("right", 1.0))
-    expr = opts.get("expr", "sin(2*pi*x)")
-    axis = GridAxis(m, left, right)
-    x = axis.nodes()
-    try:
-        u = np.broadcast_to(
-            np.asarray(evaluate_expression(expr, x), dtype=float), x.shape)
-    except (SyntaxError, ValueError, ArithmeticError, RecursionError,
-            MemoryError) as exc:  # MemoryError: the parser's nesting limit
-        raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
-    pair = get_factorization(axis).apply(u)
-    outdir = Path(opts.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "derive.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u", "du", "d2u"])
-        for xi, ui, di, d2i in zip(x, u, pair.first, pair.second):
-            writer.writerow([_fmt(xi), _fmt(ui), _fmt(di), _fmt(d2i)])
-    print(f"wrote {csv_path}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,14 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit", parents=[common],
                          help="solvability audit (reduction + sweep)")
     aud.set_defaults(fn=cmd_audit)
-
-    der = sub.add_parser("derive", parents=[common],
-                         help="differentiate a sampled expression (debugging)")
-    der.add_argument("--m", help="cells (default 32)")
-    der.add_argument("--left")
-    der.add_argument("--right")
-    der.add_argument("--expr", help="numpy expression in x, e.g. 'sin(2*pi*x)'")
-    der.set_defaults(fn=cmd_derive)
 
     return parser
 

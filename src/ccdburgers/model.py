@@ -57,10 +57,11 @@ class ProblemSpec:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         if len(self.domain) != self.dimension:
             raise ValueError("one (left, right) pair per dimension required")
-        if not self.inv_re > 0:
-            raise ValueError("inv_re must be positive")
-        if not self.final_time >= 0:
-            raise ValueError("final_time must be nonnegative")
+        if not 0 < self.inv_re < np.inf:
+            raise ValueError(f"inv_re must be positive and finite, got {self.inv_re}")
+        if not 0 <= self.final_time < np.inf:
+            raise ValueError(
+                f"final_time must be nonnegative and finite, got {self.final_time}")
 
     def axes(self, resolution: Sequence[int]) -> tuple[GridAxis, ...]:
         if len(resolution) != self.dimension:
@@ -141,12 +142,12 @@ class StabilityAdvisory:
 
 
 def stability_guard(
-    spec: ProblemSpec, resolution: Sequence[int], dt: float, safety: float = 1.0
+    spec: ProblemSpec, resolution: Sequence[int], dt: float
 ) -> StabilityAdvisory:
     """Warn when dt exceeds the heuristic diffusive limit h^2/(2*d*inv_re)."""
     axes = spec.axes(resolution)
     h = min(ax.spacing for ax in axes)
-    limit = h**2 / (2 * spec.dimension * spec.inv_re * safety)
+    limit = h**2 / (2 * spec.dimension * spec.inv_re)
     warn = dt > limit
     message = (
         f"dt={dt:.4g} exceeds heuristic diffusive limit {limit:.4g}"
@@ -157,6 +158,8 @@ def stability_guard(
 
 
 def _step_count(final_time: float, dt: float) -> int:
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if final_time == 0:
         return 0
     n = round(final_time / dt)
@@ -204,14 +207,17 @@ def _boundary_setter(spec: ProblemSpec, axes: Sequence[GridAxis]):
 
 def _validate_initial_boundary(initial, set_boundary):
     clamped = set_boundary(initial, 0.0)
-    worst = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(initial, clamped)
+    # a non-finite value in the initial data, or in the boundary data at
+    # t=0, makes some deviation NaN or inf, which fails the test below
+    deviations = [float(np.max(np.abs(a - b))) for a, b in zip(initial, clamped)]
+    if all(d <= 1e-12 for d in deviations):
+        return
+    if not all(np.isfinite(c).all() for c in initial):
+        raise ValueError("initial data must be finite")
+    raise ValueError(
+        "initial and boundary data disagree on the domain boundary at "
+        f"t=0 (max deviation {np.max(deviations):.3e})"
     )
-    if worst > 1e-12:
-        raise ValueError(
-            "initial and boundary data disagree on the domain boundary at "
-            f"t=0 (max deviation {worst:.3e})"
-        )
 
 
 @dataclass
@@ -290,7 +296,6 @@ def pde_residual(
     exact_fn: BoundaryFn,
     t: float,
     resolution: Sequence[int],
-    dt_fd: float = 1e-4,
 ) -> tuple[float, ...]:
     """Manufactured-solution residual gate.
 
@@ -306,6 +311,7 @@ def pde_residual(
     def fields(tau: float) -> tuple[np.ndarray, ...]:
         return sample_components(exact_fn, axes, tau)
 
+    dt_fd = 1e-4
     f_m2, f_m1, f_p1, f_p2 = (
         fields(t - 2 * dt_fd), fields(t - dt_fd),
         fields(t + dt_fd), fields(t + 2 * dt_fd),

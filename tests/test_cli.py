@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, config handling, exit codes, artifacts."""
 
+import argparse
 import csv
 import json
 import math
@@ -44,8 +45,9 @@ def test_load_config(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(cli.ConfigError):
         cli.load_config(str(bad))
-    # a misspelt key, and the per-stage boundary mode the solver no longer has
-    for line in ("final_tme = 0.05", "boundary_mode = stage"):
+    # a misspelt key, and keys of options the CLI does not have: a per-stage
+    # boundary mode and a derive expression
+    for line in ("final_tme = 0.05", "boundary_mode = stage", "expr = x"):
         unknown = tmp_path / "unknown.cfg"
         unknown.write_text(f"example = 3\n{line}\n")
         with pytest.raises(cli.ConfigError, match="unknown key"):
@@ -53,6 +55,17 @@ def test_load_config(tmp_path):
         rc = cli.main(["--config", str(unknown), "solve", "--m", "8",
                        "--outdir", str(tmp_path)])
         assert rc == 2
+
+
+def test_subcommand_flags_match_config_keys():
+    # every flag a subcommand reads is a config key and every config key is
+    # a flag; --dump is a switch with no config-file form
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli.COMMAND_KEYS)
+    for name, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions} - {"help", "dump"}
+        assert dests == set(cli.COMMAND_KEYS[name]), name
 
 
 def test_grid_dump_roundtrip(tmp_path):
@@ -130,6 +143,18 @@ def test_solve_bad_dt_is_config_error(tmp_path):
         "--outdir", str(tmp_path),
     ])
     assert rc == 2  # 0.03 does not divide the final time 0.1
+    # a zero step, an infinite final time and an infinite viscosity are
+    # configuration errors, refused before any manifest is written
+    for i, argv in enumerate((
+        ["table1", "--m", "8", "--dt", "0"],
+        ["solve", "--example", "3", "--m", "8", "--final-time", "inf"],
+        ["converge", "--example", "3", "--m-list", "8", "--final-time", "inf"],
+        ["solve", "--example", "2", "--m", "8", "--dt", "1e-3",
+         "--final-time", "1e-3", "--inv-re", "inf"],
+    )):
+        outdir = tmp_path / str(i)
+        assert cli.main([*argv, "--outdir", str(outdir)]) == 2, argv
+        assert not list(outdir.glob("*.json")), argv
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -232,72 +257,42 @@ def test_table1_structure_on_coarse_grid(tmp_path, monkeypatch):
 
 # --- audit ------------------------------------------------------------------
 
-def test_audit_reports_and_exit_code(tmp_path, monkeypatch):
-    from ccdburgers import audit as audit_mod
-
-    def tiny_report():
-        real = audit_mod.appendix_b_reduction()
-        sweep = audit_mod.nonsingularity_sweep(m_values=(5, 10), h_values=(1.0,))
-        ok = real.ok and all(r.ok for r in sweep)
-        return {
-            "reduction": {
-                "matrix": real.matrix.tolist(),
-                "dominance_margins": real.dominance_margins.tolist(),
-                "ok": real.ok,
-            },
-            "sweep": [
-                {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
-                 for k, v in vars(r).items()}
-                for r in sweep
-            ],
-            "assembly_consistent": True,
-            "ok": ok,
-        }
-
-    monkeypatch.setattr(cli.audit_mod, "audit_report", tiny_report)
+def test_audit_reports_and_exit_code(tmp_path):
     rc = cli.main(["audit", "--outdir", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "audit.json").read_text())
     assert report["ok"]
     assert min(report["reduction"]["dominance_margins"]) > 0
+    assert len(report["sweep"]) == (128 - 5 + 1) * 3  # nodes x spacings
+    assert report["determinant"]["ok"]
+
+
+def test_audit_non_commuting_blocks_exit_code(tmp_path, monkeypatch):
+    # a block pair that breaks the determinant lemma's precondition is an
+    # audit failure, not a configuration error
+    from ccdburgers import audit as audit_mod
+
+    check = audit_mod.block_determinant_identity_check
+
+    def skewed(A, B, C, D):
+        C = C.copy()
+        C[0] *= 2
+        return check(A, B, C, D)
+
+    monkeypatch.setattr(audit_mod, "block_determinant_identity_check", skewed)
+    assert cli.main(["audit", "--outdir", str(tmp_path)]) == 4
+    report = json.loads((tmp_path / "audit.json").read_text())
+    assert not report["determinant"]["commutes"]
+    assert not report["ok"]
 
 
 def test_audit_failure_exit_code(tmp_path, monkeypatch):
     failing = {
         "reduction": {"matrix": [], "dominance_margins": [-1.0], "ok": False},
+        "determinant": {"det_block": 1.0, "relative_gap": 0.0, "ok": True},
         "sweep": [],
         "assembly_consistent": True,
         "ok": False,
     }
     monkeypatch.setattr(cli.audit_mod, "audit_report", lambda: failing)
     assert cli.main(["audit", "--outdir", str(tmp_path)]) == 4
-
-
-# --- derive -----------------------------------------------------------------
-
-def test_derive_polynomial(tmp_path):
-    rc = cli.main([
-        "derive", "--m", "16", "--expr", "x**3", "--outdir", str(tmp_path),
-    ])
-    assert rc == 0
-    rows = _read_csv(tmp_path / "derive.csv")
-    assert rows[0] == ["x", "u", "du", "d2u"]
-    for row in rows[1:]:
-        x, _u, du, d2u = (float(v) for v in row)
-        # values pass through the 6-significant-figure CSV format
-        assert du == pytest.approx(3 * x**2, rel=1e-4, abs=1e-8)
-        assert d2u == pytest.approx(6 * x, rel=1e-4, abs=1e-7)
-
-
-def test_derive_bad_expression(tmp_path):
-    for expr in (
-        "import os",
-        # walks from a tuple to os._wrap_close without any builtin
-        '[c for c in ().__class__.__mro__[1].__subclasses__()'
-        ' if c.__name__=="_wrap_close"][0] and 0*x',
-        # integer powers this large would never finish
-        "9**9**9**9",
-    ):
-        rc = cli.main(["derive", "--expr", expr, "--outdir", str(tmp_path)])
-        assert rc == 2
-        assert not (tmp_path / "derive.csv").exists()

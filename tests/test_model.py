@@ -223,6 +223,8 @@ def test_runs_are_deterministic():
 def test_dt_must_divide_final_time():
     with pytest.raises(ValueError):
         run(example3_spec(), [8, 8], 0.03)
+    with pytest.raises(ValueError, match="positive and finite"):
+        run(example3_spec(), [8, 8], 0.0)
 
 
 def test_snapshot_times_must_land_on_steps():
@@ -249,6 +251,29 @@ def test_initial_boundary_mismatch_rejected():
     )
     with pytest.raises(ValueError, match="boundary"):
         run(spec, [8], 0.125)
+    # NaN initial data: at x = 1 in 1D, and in the second of two components
+    # in 2D
+    nan_at_right = ProblemSpec(
+        dimension=1, domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
+        initial_fn=lambda x: (np.where(x == 1.0, np.nan, 0.0),),
+        boundary_fn=lambda x, t: (np.zeros_like(x),),
+    )
+    nan_in_v = ProblemSpec(
+        dimension=2, domain=((0.0, 1.0),) * 2, inv_re=0.1, final_time=1.0,
+        initial_fn=lambda x, y: (0 * x + 0 * y, np.nan + 0 * x + 0 * y),
+        boundary_fn=lambda x, y, t: (0 * x + 0 * y, 0 * x + 0 * y),
+    )
+    for bad, resolution in ((nan_at_right, [8]), (nan_in_v, [8, 8])):
+        with pytest.raises(ValueError, match="finite"):
+            run(bad, resolution, 0.125)
+    # finite initial data against NaN boundary data
+    nan_boundary = ProblemSpec(
+        dimension=1, domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
+        initial_fn=lambda x: (np.zeros_like(x),),
+        boundary_fn=lambda x, t: (np.full_like(x, np.nan),),
+    )
+    with pytest.raises(ValueError, match="boundary"):
+        run(nan_boundary, [8], 0.125)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -267,11 +292,13 @@ def test_spec_validation():
             dimension=4, domain=((0.0, 1.0),) * 4, inv_re=0.1, final_time=1.0,
             initial_fn=lambda *a: (), boundary_fn=lambda *a: (),
         )
-    with pytest.raises(ValueError):
-        ProblemSpec(
-            dimension=1, domain=((0.0, 1.0),), inv_re=-1.0, final_time=1.0,
-            initial_fn=lambda x: (x,), boundary_fn=lambda x, t: (x,),
-        )
+    for inv_re, final_time in ((-1.0, 1.0), (np.inf, 1.0), (0.1, np.inf)):
+        with pytest.raises(ValueError):
+            ProblemSpec(
+                dimension=1, domain=((0.0, 1.0),), inv_re=inv_re,
+                final_time=final_time,
+                initial_fn=lambda x: (x,), boundary_fn=lambda x, t: (x,),
+            )
 
 
 # --- manufactured-solution residual gate ------------------------------------
