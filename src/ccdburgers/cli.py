@@ -163,7 +163,6 @@ def cmd_solve(args) -> int:
     dt = resolve_dt(opts.get("dt", "h2"), min(ax.spacing for ax in axes),
                     spec.final_time)
     outdir = Path(opts.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     result = run(spec, resolution, dt)
@@ -173,6 +172,7 @@ def cmd_solve(args) -> int:
     if spec.exact_fn is not None:
         errors = linf_errors(result.final, spec, resolution)
 
+    outdir.mkdir(parents=True, exist_ok=True)
     if args.dump:
         write_grid_dump(outdir / "fields.bin", axes, result.final)
     summary = {
@@ -215,7 +215,6 @@ def cmd_converge(args) -> int:
               file=sys.stderr)
 
     outdir = Path(opts.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
     names = "uvw"[: spec.dimension]
 
     rows = []
@@ -233,6 +232,7 @@ def cmd_converge(args) -> int:
     for name in names:
         header += [f"e_{name}", f"rate_{name}"]
     csv_path = outdir / f"converge_example{example}.csv"
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -273,7 +273,6 @@ def cmd_table1(args) -> int:
             f"table1 needs m a multiple of 4 so that x = 0.25, 0.5, 0.75 "
             f"are grid nodes, got {m}")
     outdir = Path(opts.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
 
     spec = EXAMPLES[1](final_time=1.0)
     times = sorted({t for _, t, *_ in TABLE1_ROWS})
@@ -289,6 +288,7 @@ def cmd_table1(args) -> int:
                      "ccd_tvd": float(result.snapshots[t].components[0][idx]),
                      "exact": float(spec.exact_fn(np.array([x]), t)[0][0])})
     csv_path = outdir / "table1.csv"
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "t", "CCD-TVD", "Exact", "abs_diff",
@@ -311,9 +311,9 @@ def cmd_table1(args) -> int:
 def cmd_audit(args) -> int:
     opts = _merged_options(args)
     outdir = Path(opts.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
     report = audit_mod.audit_report()
     path = outdir / "audit.json"
+    outdir.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2) + "\n")
     margins = report["reduction"]["dominance_margins"]
     print(f"dominance margins: min={min(margins):.4g}")

@@ -8,6 +8,7 @@ right-hand side is explicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -256,6 +257,11 @@ def run(
         snapshot_steps[k] = t_snap
 
     advisory = stability_guard(spec, resolution, dt)
+    # Each apply along an axis carries every pencil of the grid; a wide
+    # batch's explicit operator is built here, in setup.
+    nodes = math.prod(ax.n_nodes for ax in axes)
+    for fact in facts:
+        fact.prepare(nodes // fact.m)
     rhs = lambda s: burgers_rhs(s, facts, spec.inv_re)
 
     result = RunResult(final=state, advisory=advisory)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccdburgers
+from ccdburgers import ccd
 from ccdburgers.ccd import CcdFactorization, dense_matrices, get_factorization
 from ccdburgers.grid import GridAxis
 
@@ -75,10 +76,12 @@ def test_small_system_well_conditioned():
 
 def test_factorization_holds_no_dense_matrix():
     # the band of 2050 unknowns is 164 KB; six dense 1025 x 1025 blocks
-    # would be 48 MiB
+    # would be 48 MiB, and a dense 2050 x 1025 A^-1 B 16 MiB.  The wide-batch
+    # operator is built from a 129-node proxy axis.
     tracemalloc.start()
     try:
         fact = CcdFactorization(GridAxis(1024))
+        fact.prepare(fact.m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -99,6 +102,12 @@ def test_constants_annihilated():
     pair = fact.apply(np.full(8, 3.7))
     assert np.max(np.abs(pair.first)) < 1e-12
     assert np.max(np.abs(pair.second)) < 1e-11
+    # a wide batch takes the operator on differences: exactly zero, on one
+    # block (9 nodes) and on blocks cut from the proxy axis (201 nodes)
+    for n_cells in (8, 200):
+        fact = CcdFactorization(GridAxis(n_cells))
+        pair = fact.apply(np.full((fact.m, fact.m), 3.7))
+        assert not np.any(pair.first) and not np.any(pair.second)
 
 
 def test_quadratic_exact():
@@ -218,13 +227,16 @@ def test_boundary_order_at_least_4():
 
 
 def test_batched_apply_matches_columnwise(rng):
-    fact = get_factorization(GridAxis(16))
-    batch = rng.standard_normal((17, 5))
-    pair = fact.apply(batch)
-    for k in range(5):
-        single = fact.apply(batch[:, k])
-        np.testing.assert_array_equal(pair.first[:, k], single.first)
-        np.testing.assert_array_equal(pair.second[:, k], single.second)
+    # up to one pencil short of min(m, 129), a batch is still the banded
+    # solve, bit for bit
+    for n_cells, pencils in ((16, 5), (8, 8), (200, 128)):
+        fact = get_factorization(GridAxis(n_cells))
+        batch = rng.standard_normal((fact.m, pencils))
+        pair = fact.apply(batch)
+        for k in range(pencils):
+            single = fact.apply(batch[:, k])
+            np.testing.assert_array_equal(pair.first[:, k], single.first)
+            np.testing.assert_array_equal(pair.second[:, k], single.second)
 
 
 def test_apply_rejects_wrong_length():
@@ -240,3 +252,70 @@ def test_factorization_cache_shared():
     c = get_factorization(GridAxis(24, 0.0, 2.0))
     assert c is not a
 
+
+# --- the block-banded operator of wide batches ------------------------------
+
+# 9 and 33 nodes are one block; 129 is the largest one-block axis, 130 the
+# smallest cut from the proxy (with a two-node interior block), 201 and
+# 1025 end on a short interior block; spacing 0.02 is not 1/n_cells
+@pytest.mark.parametrize(
+    "n_cells,right",
+    [(8, 1.0), (32, 1.0), (128, 1.0), (129, 1.0), (200, 1.0), (1024, 1.0),
+     (150, 3.0)],
+    ids=["9", "33", "129", "130", "201", "1025", "151-h0.02"],
+)
+def test_wide_batch_matches_banded(n_cells, right, rng):
+    fact = CcdFactorization(GridAxis(n_cells, 0.0, right))
+    batch = rng.standard_normal((fact.m, min(fact.m, 129)))
+    wide = fact.apply(batch)
+    columns = [fact.apply(col) for col in batch.T]
+    # each column against its banded solve, relative to the batch's largest
+    # derivative
+    for got, want in ((wide.first, np.column_stack([c.first for c in columns])),
+                      (wide.second, np.column_stack([c.second for c in columns]))):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want), axis=0).max() <= 1e-13 * scale
+
+
+# the axes of test_polynomial_exactness and ex4's; rounding in the second
+# derivative grows like 1/h^2, so on either form 1e-10 holds only on short
+# axes (the banded solve leaves 4.5e-9 at 201 nodes)
+@pytest.mark.parametrize(
+    "n_cells,left,right", [(8, 0.0, 1.0), (21, -1.0, 2.0), (32, 0.0, 1.0)])
+def test_wide_batch_polynomial_exactness(n_cells, left, right, rng):
+    ax = GridAxis(n_cells, left, right)
+    x = ax.nodes()
+    fact = CcdFactorization(ax)
+    k = min(fact.m, 129)
+    # columns of every degree 0..4
+    coeffs = [rng.standard_normal(j % 5 + 1) for j in range(k)]
+    P = np.polynomial.polynomial
+    u = np.column_stack([P.polyval(x, c) for c in coeffs])
+    d1 = np.column_stack([P.polyval(x, P.polyder(c)) for c in coeffs])
+    d2 = np.column_stack([P.polyval(x, P.polyder(c, 2)) for c in coeffs])
+    pair = fact.apply(u)
+    scale1 = np.max(np.abs(d1), axis=0) + 1
+    scale2 = np.max(np.abs(d2), axis=0) + 1
+    assert np.max(np.max(np.abs(pair.first - d1), axis=0) / scale1) < 1e-10
+    assert np.max(np.max(np.abs(pair.second - d2), axis=0) / scale2) < 1e-10
+
+
+def test_interior_decay_rate_matches_recurrence_root():
+    # the entries of a middle row of the operator fall by the root that
+    # sets the half-width, at any spacing
+    z = -ccd._DECAY
+    assert abs(1 + 20 * z + 48 * z**2 + 20 * z**3 + z**4) < 1e-14
+    assert ccd._HALF_WIDTH == 48
+    for right in (1.0, 7.0):
+        fact = CcdFactorization(GridAxis(128, 0.0, right))
+        e = fact._difference_operator()
+        for row in e[:, 64]:
+            ratios = np.abs(row[64 + 11:64 + 21] / row[64 + 10:64 + 20])
+            np.testing.assert_allclose(ratios, ccd._DECAY, rtol=1e-6)
+
+
+def test_block_layout_checks_dropped_tail(monkeypatch):
+    CcdFactorization(GridAxis(200)).prepare(129)
+    monkeypatch.setattr(ccd, "_HALF_WIDTH", 16)
+    with pytest.raises(RuntimeError, match="half-width 16"):
+        CcdFactorization(GridAxis(200)).prepare(129)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ccdburgers import ccd, model
 from ccdburgers.ccd import get_factorization
 from ccdburgers.exact import example2_spec, example3_exact, example3_spec
 from ccdburgers.grid import GridAxis
@@ -190,6 +191,24 @@ def test_constant_problem_is_steady():
     assert result.steps == 10
     errors = linf_errors(result.final, spec, [8, 8])
     assert max(errors) < 1e-12
+
+
+def test_run_builds_wide_operator_before_first_step(monkeypatch):
+    # every apply on 8 x 8 cells carries 9 pencils of 9 nodes, a wide batch;
+    # its operator belongs to the run's setup, not to its first step
+    spec = example3_spec(final_time=0.01)
+    axis = spec.axes([8, 8])[0]
+    step = model.tvd_rk3_step
+    built = []
+
+    def first_step(state, dt, rhs):
+        built.append(get_factorization(axis)._blocks is not None)
+        return step(state, dt, rhs)
+
+    monkeypatch.setattr(model, "tvd_rk3_step", first_step)
+    monkeypatch.setattr(ccd, "_CACHE", {})
+    run(spec, [8, 8], 0.005)
+    assert built == [True, True]
 
 
 def test_zero_final_time_returns_initial():
