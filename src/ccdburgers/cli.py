@@ -117,6 +117,16 @@ def _merged_options(args) -> dict:
     return opts
 
 
+def _outdir(opts) -> Path:
+    """The output directory, refused before any work when it is, or lies
+    under, an existing file that is not a directory."""
+    outdir = Path(opts.get("outdir", "."))
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {outdir}: {existing} is not a directory")
+    return outdir
+
+
 def _fmt(x: float) -> str:
     return f"{x:.5e}"
 
@@ -162,7 +172,7 @@ def cmd_solve(args) -> int:
     axes = spec.axes(resolution)
     dt = resolve_dt(opts.get("dt", "h2"), min(ax.spacing for ax in axes),
                     spec.final_time)
-    outdir = Path(opts.get("outdir", "."))
+    outdir = _outdir(opts)
 
     start = time.perf_counter()
     result = run(spec, resolution, dt)
@@ -214,7 +224,7 @@ def cmd_converge(args) -> int:
         print("notice: cell counts are not dyadic; rates omitted",
               file=sys.stderr)
 
-    outdir = Path(opts.get("outdir", "."))
+    outdir = _outdir(opts)
     names = "uvw"[: spec.dimension]
 
     rows = []
@@ -272,7 +282,7 @@ def cmd_table1(args) -> int:
         raise ConfigError(
             f"table1 needs m a multiple of 4 so that x = 0.25, 0.5, 0.75 "
             f"are grid nodes, got {m}")
-    outdir = Path(opts.get("outdir", "."))
+    outdir = _outdir(opts)
 
     spec = EXAMPLES[1](final_time=1.0)
     times = sorted({t for _, t, *_ in TABLE1_ROWS})
@@ -310,7 +320,7 @@ def cmd_table1(args) -> int:
 
 def cmd_audit(args) -> int:
     opts = _merged_options(args)
-    outdir = Path(opts.get("outdir", "."))
+    outdir = _outdir(opts)
     report = audit_mod.audit_report()
     path = outdir / "audit.json"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -379,7 +389,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # OSError: the outputs could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InstabilityError as exc:

@@ -151,15 +151,13 @@ def example4_exact(x, y, z, t: float, variant: str = "corrected"):
 def example1_spec(
     inv_re: float = 0.1,
     final_time: float = 1.0,
-    coeffs: FourierCoefficients | None = None,
 ) -> ProblemSpec:
     """1D problem with homogeneous boundaries and sin(pi x) initial data.
 
     The benchmark tables for this problem were produced with 1/Re = 0.1
     (their caption says 1, but the tabulated values pin it to 0.1).
     """
-    if coeffs is None:
-        coeffs = compute_fourier_coefficients(inv_re)
+    coeffs = compute_fourier_coefficients(inv_re)
 
     def initial(x):
         return (np.sin(np.pi * np.asarray(x, dtype=float)),)

@@ -174,40 +174,28 @@ def _step_count(final_time: float, dt: float) -> int:
 
 def _boundary_setter(spec: ProblemSpec, axes: Sequence[GridAxis]):
     """Build a closure overwriting every boundary node from boundary_fn."""
-    dim = spec.dimension
-    shape = tuple(ax.n_nodes for ax in axes)
-    node_arrays = [ax.nodes() for ax in axes]
+    coords = grid_coords(axes)
     faces = []
-    for a in range(dim):
-        for side in (0, -1):
-            coords = []
-            face_shape = list(shape)
-            face_shape[a] = 1
-            for b, nodes in enumerate(node_arrays):
-                if b == a:
-                    arr = np.array([nodes[side]])
-                else:
-                    arr = nodes
-                idx = [np.newaxis] * dim
-                idx[b] = slice(None)
-                coords.append(arr[tuple(idx)])
-            sel = [slice(None)] * dim
-            sel[a] = slice(0, 1) if side == 0 else slice(shape[a] - 1, shape[a])
-            faces.append((tuple(coords), tuple(sel), tuple(face_shape)))
+    for a in range(spec.dimension):
+        for end in (slice(0, 1), slice(-1, None)):
+            # a coordinate array of length 1 along axis a gives its one
+            # element to either end
+            sel = (slice(None),) * a + (end,)
+            faces.append((tuple(c[sel] for c in coords), sel))
 
     def set_boundary(components: tuple[np.ndarray, ...], t: float):
-        comps = tuple(np.array(c, copy=True) for c in components)
-        for coords, sel, face_shape in faces:
-            values = spec.boundary_fn(*coords, t)
-            for comp, val in zip(comps, values):
-                comp[sel] = np.broadcast_to(np.asarray(val, float), face_shape)
-        return comps
+        """Write the boundary values at time t into ``components`` in place
+        and return the same tuple."""
+        for face, sel in faces:
+            for comp, val in zip(components, spec.boundary_fn(*face, t)):
+                comp[sel] = val
+        return components
 
     return set_boundary
 
 
 def _validate_initial_boundary(initial, set_boundary):
-    clamped = set_boundary(initial, 0.0)
+    clamped = set_boundary(tuple(c.copy() for c in initial), 0.0)
     # a non-finite value in the initial data, or in the boundary data at
     # t=0, makes some deviation NaN or inf, which fails the test below
     deviations = [float(np.max(np.abs(a - b))) for a, b in zip(initial, clamped)]
@@ -273,9 +261,9 @@ def run(
             state = tvd_rk3_step(state, dt, rhs)
         except UnstableStepError as exc:
             raise InstabilityError(n + 1, (n + 1) * dt, str(exc)) from exc
-        # Algorithm step 4: physical boundary values are imposed, not evolved.
-        comps = set_boundary(state.components, (n + 1) * dt)
-        state = FieldSet(components=comps, time=(n + 1) * dt)
+        # Algorithm step 4: physical boundary values are imposed, not evolved,
+        # into the arrays the step has just allocated.
+        state = FieldSet(set_boundary(state.components, (n + 1) * dt), (n + 1) * dt)
         if n + 1 in snapshot_steps:
             result.snapshots[snapshot_steps[n + 1]] = state
 

@@ -46,4 +46,8 @@ def test_spans_count_wide_batch_pencils():
     assert calls["model.burgers_rhs"] == 6
     assert applies == 4 * calls["model.burgers_rhs"]
     assert tracer.pencils == 9 * applies
+    # the initial-data check and one imposition per step, each evaluating
+    # boundary_fn once on each of the 4 faces
+    assert calls["model.set_boundary"] == 3
+    assert calls["spec.boundary_fn"] == 12
     assert ccd.get_factorization(problem.axes([8, 8])[0])._blocks is not None

@@ -158,6 +158,39 @@ def test_solve_bad_dt_is_config_error(tmp_path):
         assert not outdir.exists(), argv
 
 
+def test_outdir_that_is_not_a_directory_refused(tmp_path, monkeypatch, capsys):
+    # a regular file as the output directory, or as its parent, is refused
+    # with a one-line error before any solve starts, and left as it was
+    def no_run(*args, **kwargs):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    for argv in (["solve", "--example", "3", "--m", "8", "--dt", "0.00125"],
+                 ["table1", "--m", "8", "--dt", "0.00125"]):
+        for outdir in (blocker, blocker / "sub"):
+            rc = cli.main([*argv, "--outdir", str(outdir)])
+            err = capsys.readouterr().err
+            assert rc == 2, (argv, outdir)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            assert blocker.read_text() == "keep\n"
+
+
+def test_output_write_failure_is_one_line_error(tmp_path, monkeypatch, capsys):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli.Path, "mkdir", refuse)
+    rc = cli.main(["solve", "--example", "3", "--m", "8", "--final-time", "0",
+                   "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Permission denied" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_instability_exit_code(tmp_path):
     rc = cli.main([

@@ -132,13 +132,17 @@ def test_coefficients_reject_bad_inv_re(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_example1_spec_consistency(coeffs01):
-    spec = example1_spec(coeffs=coeffs01)
+def test_example1_spec_consistency():
+    spec = example1_spec()
     x = np.linspace(0, 1, 11)
     (u0,) = spec.exact_fn(x, 0.0)
     np.testing.assert_allclose(u0, np.sin(np.pi * x))
     (b,) = spec.boundary_fn(np.array([0.0, 1.0]), 0.7)
     assert np.array_equal(b, np.zeros(2))
+    # the oracle's series belongs to the spec's own viscosity
+    (u,) = example1_spec(inv_re=0.5).exact_fn(x, 0.2)
+    assert np.array_equal(
+        u, example1_exact(x, 0.2, compute_fourier_coefficients(0.5)))
 
 
 # --- 2D closed forms --------------------------------------------------------

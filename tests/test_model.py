@@ -5,7 +5,12 @@ import pytest
 
 from ccdburgers import ccd, model
 from ccdburgers.ccd import get_factorization
-from ccdburgers.exact import example2_spec, example3_exact, example3_spec
+from ccdburgers.exact import (
+    example2_spec,
+    example3_exact,
+    example3_spec,
+    example4_spec,
+)
 from ccdburgers.grid import GridAxis
 from ccdburgers.model import (
     FieldSet,
@@ -231,6 +236,29 @@ def test_boundary_nodes_are_overwritten_bitwise():
         assert np.array_equal(comp[:, -1], ref[:, -1])
 
 
+def _boundary_mask(shape):
+    mask = np.ones(shape, dtype=bool)
+    mask[tuple(slice(1, -1) for _ in shape)] = False
+    return mask
+
+
+def test_set_boundary_writes_in_place():
+    # a 3D grid with a different node count on each axis
+    spec = example4_spec()
+    axes = spec.axes([4, 5, 6])
+    set_boundary = model._boundary_setter(spec, axes)
+    rng = np.random.default_rng(0)
+    comps = tuple(rng.standard_normal((5, 6, 7)) for _ in range(3))
+    before = tuple(c.copy() for c in comps)
+    out = set_boundary(comps, 0.3)
+    assert out is comps
+    ref = sample_components(spec.boundary_fn, axes, 0.3)
+    face = _boundary_mask((5, 6, 7))
+    for comp, old, exact in zip(comps, before, ref):
+        assert np.array_equal(comp[face], exact[face])
+        assert np.array_equal(comp[~face], old[~face])
+
+
 def test_runs_are_deterministic():
     spec = example2_spec(final_time=0.02)
     a = run(spec, [8, 8], 0.002)
@@ -260,6 +288,17 @@ def test_snapshots_are_recorded():
     assert result.snapshots[0.1].time == pytest.approx(0.1)
     final_err = max(linf_errors(result.final, spec, [8, 8]))
     assert final_err < 1e-4  # coarse dt: error ~ dt^3
+    # boundary values are written into each step's fresh arrays, never into
+    # a state an earlier snapshot holds
+    axes = spec.axes([8, 8])
+    initial = sample_components(spec.initial_fn, axes)
+    for comp, ref in zip(result.snapshots[0.0].components, initial):
+        assert np.array_equal(comp, ref)
+    face = _boundary_mask((9, 9))
+    for snap in result.snapshots.values():
+        ref = sample_components(spec.boundary_fn, axes, snap.time)
+        for comp, exact in zip(snap.components, ref):
+            assert np.array_equal(comp[face], exact[face])
 
 
 def test_initial_boundary_mismatch_rejected():
