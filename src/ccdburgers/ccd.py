@@ -236,7 +236,8 @@ class CcdFactorization:
             self._blocks = self._build_blocks()
 
     def apply(self, samples: np.ndarray) -> DerivativePair:
-        """Differentiate one pencil (shape (m,)) or a batch (shape (m, k))."""
+        """Differentiate one pencil (shape (m,)) or a batch whose pencils run
+        down the first index (shape (m, ...)), into new arrays."""
         u = np.asarray(samples, dtype=float)
         if u.shape[0] != self.m:
             raise ValueError(

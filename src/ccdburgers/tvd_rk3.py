@@ -42,46 +42,69 @@ RhsFn = Callable[[FieldSet], Sequence[np.ndarray]]
 
 def _check_finite(fields: Sequence[np.ndarray], label: str) -> None:
     for comp in fields:
-        if not np.all(np.isfinite(comp)):
+        if not np.isfinite(comp).all():
             finite = comp[np.isfinite(comp)]
-            peak = float(np.max(np.abs(finite))) if finite.size else float("inf")
-            raise UnstableStepError(
-                f"non-finite values in {label}; largest finite magnitude "
-                f"{peak:.3e}"
+            detail = (
+                f"largest finite magnitude {np.max(np.abs(finite)):.3e}"
+                if finite.size else "no finite values left"
             )
+            raise UnstableStepError(f"non-finite values in {label}; {detail}")
 
 
-def tvd_rk3_step(state: FieldSet, dt: float, rhs: RhsFn) -> FieldSet:
+def tvd_rk3_step(
+    state: FieldSet,
+    dt: float,
+    rhs: RhsFn,
+    *,
+    out: tuple[np.ndarray, ...] | None = None,
+    stage: tuple[np.ndarray, ...] | None = None,
+) -> FieldSet:
     """Advance ``state`` by one step of size ``dt``.
 
-    ``rhs`` is evaluated exactly three times.
+    ``rhs`` is evaluated exactly three times.  The step writes into two sets
+    of arrays shaped like the components and nothing else: ``out``, which
+    holds the first stage and then the returned state, and ``stage``, which
+    holds the second stage.  Either is allocated here when not given; they
+    may overlap neither each other nor ``state``.  ``rhs`` may return the
+    arrays of the state it is given; any other array it returns is only read.
+
+    NumPy's overflow and invalid-value warnings are off inside the step:
+    every stage is checked for non-finite values instead.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     t = state.time
     un = state.components
+    if out is None:
+        out = tuple(np.empty_like(p, dtype=float) for p in un)
+    if stage is None:
+        stage = tuple(np.empty_like(p, dtype=float) for p in un)
 
-    def combine(base, source, weight):
-        # w*prev + (1-w)*base + (1-w)*dt*source, written in incremental form
-        # so a vanishing right-hand side reproduces the state bitwise.
-        return tuple(
-            p + weight * ((s - p) + dt * f)
-            for p, s, f in zip(un, base, source)
-        )
+    def combine(base, source, dest, weight):
+        # dest = p + w*((s - p) + dt*f), in incremental form so a vanishing
+        # right-hand side reproduces the state bitwise.  f is read before s,
+        # the spent previous stage, is overwritten: f may be s itself.
+        for p, s, f, d in zip(un, base, source, dest):
+            np.multiply(f, dt, out=d)
+            s -= p
+            d += s
+            d *= weight
+            d += p
 
-    # Stage 1: forward Euler.
-    l0 = rhs(state)
-    u1 = tuple(p + dt * f for p, f in zip(un, l0))
-    _check_finite(u1, "stage 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Stage 1: forward Euler.
+        for p, f, d in zip(un, rhs(state), out):
+            np.multiply(f, dt, out=d)
+            d += p
+        _check_finite(out, "stage 1")
 
-    # Stage 2.
-    l1 = rhs(FieldSet(u1, t + dt))
-    u2 = combine(u1, l1, STAGE_WEIGHTS[1][1])
-    _check_finite(u2, "stage 2")
+        # Stage 2.
+        combine(out, rhs(FieldSet(out, t + dt)), stage, STAGE_WEIGHTS[1][1])
+        _check_finite(stage, "stage 2")
 
-    # Final combination.
-    l2 = rhs(FieldSet(u2, t + 0.5 * dt))
-    unew = combine(u2, l2, STAGE_WEIGHTS[2][1])
-    _check_finite(unew, "updated state")
+        # Final combination, into the arrays of the spent first stage.
+        combine(stage, rhs(FieldSet(stage, t + 0.5 * dt)), out,
+                STAGE_WEIGHTS[2][1])
+        _check_finite(out, "updated state")
 
-    return FieldSet(components=unew, time=t + dt)
+    return FieldSet(components=out, time=t + dt)

@@ -29,6 +29,8 @@ def test_spans_record_patched_calls():
     calls, _total, _self = tracer.summary()
     assert calls["exact.compute_fourier_coefficients"] == 1
     assert calls["ccd.CcdFactorization.apply"] > 0
+    # axis 0 hands the field to apply as it is: one pencil per 1D apply
+    assert tracer.pencils == calls["ccd.CcdFactorization.apply"]
     assert calls["tvd_rk3.tvd_rk3_step"] == 10
 
 
@@ -51,3 +53,19 @@ def test_spans_count_wide_batch_pencils():
     assert calls["model.set_boundary"] == 3
     assert calls["spec.boundary_fn"] == 12
     assert ccd.get_factorization(problem.axes([8, 8])[0])._blocks is not None
+
+
+def test_spans_count_pencils_of_unreshaped_3d_fields():
+    # example 4 on 4 x 4 x 4 cells: axis 0 passes each (5, 5, 5) component
+    # to apply unreshaped, the other axes a (5, 25) copy; every apply carries
+    # 25 pencils, and 3 components are differentiated along 3 axes
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.patched(tracer, ccd, model, tvd_rk3, exact):
+        problem = spans.traced_spec(tracer, exact.example4_spec(final_time=0.02))
+        model.run(problem, [4, 4, 4], 0.01)
+    calls, _total, _self = tracer.summary()
+    applies = calls["ccd.CcdFactorization.apply"]
+    assert calls["model.burgers_rhs"] == 6
+    assert applies == 9 * calls["model.burgers_rhs"]
+    assert tracer.pencils == 25 * applies

@@ -191,7 +191,7 @@ def test_output_write_failure_is_one_line_error(tmp_path, monkeypatch, capsys):
     assert "Permission denied" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_instability_exit_code(tmp_path):
     rc = cli.main([
         "solve", "--example", "2", "--m", "16", "--dt", "0.1",

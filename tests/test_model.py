@@ -206,9 +206,9 @@ def test_run_builds_wide_operator_before_first_step(monkeypatch):
     step = model.tvd_rk3_step
     built = []
 
-    def first_step(state, dt, rhs):
+    def first_step(*args, **kwargs):
         built.append(get_factorization(axis)._blocks is not None)
-        return step(state, dt, rhs)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(model, "tvd_rk3_step", first_step)
     monkeypatch.setattr(ccd, "_CACHE", {})
@@ -288,8 +288,13 @@ def test_snapshots_are_recorded():
     assert result.snapshots[0.1].time == pytest.approx(0.1)
     final_err = max(linf_errors(result.final, spec, [8, 8]))
     assert final_err < 1e-4  # coarse dt: error ~ dt^3
-    # boundary values are written into each step's fresh arrays, never into
-    # a state an earlier snapshot holds
+    # the time loop reuses its arrays, so each snapshot must own a copy that
+    # no later step or boundary imposition writes into
+    states = [*result.snapshots.values(), result.final]
+    arrays = [c for state in states for c in state.components]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
     axes = spec.axes([8, 8])
     initial = sample_components(spec.initial_fn, axes)
     for comp, ref in zip(result.snapshots[0.0].components, initial):
@@ -334,7 +339,7 @@ def test_initial_boundary_mismatch_rejected():
         run(nan_boundary, [8], 0.125)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_instability_reported_with_step():
     spec = example2_spec()
     with pytest.raises(InstabilityError) as info:

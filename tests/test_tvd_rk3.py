@@ -94,5 +94,55 @@ def test_nonfinite_stage_raises():
     def rhs(s):
         return (np.array([np.inf, 0.0]),)
 
-    with pytest.raises(UnstableStepError):
+    with pytest.raises(UnstableStepError, match="largest finite magnitude 2.000e"):
         tvd_rk3_step(state, 0.1, rhs)
+    with pytest.raises(UnstableStepError, match="no finite values left"):
+        tvd_rk3_step(state, 0.1, lambda s: (np.array([np.nan, -np.inf]),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_is_exact_near_overflow(bad):
+    # finite values near the largest double never raise, though their sum
+    # overflows; a single NaN or infinity among them does
+    big = np.array([1.7e308, -1.7e308, 1.7e308, 1.7e308])
+    state = FieldSet(components=(big,), time=0.0)
+    out = tvd_rk3_step(state, 0.1, lambda s: (np.zeros(4),))
+    assert np.array_equal(out.components[0], big)
+    with pytest.raises(UnstableStepError, match="largest finite magnitude 1.700e\\+308"):
+        tvd_rk3_step(state, 0.1, lambda s: (np.array([0.0, 0.0, bad, 0.0]),))
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_step_writes_only_its_own_buffers(rng, fresh):
+    # u' = u; the right-hand side returns either the very arrays of the state
+    # it is given or new ones.  The step may write neither into the state it
+    # advances nor into a new array the right-hand side returns.
+    u = rng.standard_normal((6, 5))
+    v = rng.standard_normal((6, 5))
+    state = FieldSet(components=(u, v), time=0.0)
+    kept = (u.copy(), v.copy())
+    returned = []
+
+    def rhs(s):
+        f = tuple(c.copy() for c in s.components) if fresh else s.components
+        returned.append((f, tuple(c.copy() for c in f)))
+        return f
+
+    out = tuple(np.empty_like(c) for c in kept)
+    stage = tuple(np.empty_like(c) for c in kept)
+    new = tvd_rk3_step(state, 0.1, rhs, out=out, stage=stage)
+    assert new.components is out
+    for comp, old in zip(state.components, kept):
+        assert np.array_equal(comp, old)
+        assert not any(np.shares_memory(comp, c) for c in out + stage)
+    if fresh:
+        for f, copies in returned:
+            for comp, old in zip(f, copies):
+                assert np.array_equal(comp, old)
+    # returning the stage's own arrays gives, bitwise, what copies give
+    copied = tvd_rk3_step(FieldSet(components=kept, time=0.0), 0.1,
+                          lambda s: tuple(c.copy() for c in s.components))
+    for comp, ref in zip(new.components, copied.components):
+        assert np.array_equal(comp, ref)
+    expected = 1 + 0.1 + 0.1**2 / 2 + 0.1**3 / 6
+    np.testing.assert_allclose(new.components[0], expected * u, rtol=1e-15)
