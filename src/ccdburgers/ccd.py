@@ -19,14 +19,16 @@ All 2*(M+1) unknowns are obtained from one banded linear solve whose matrix
 depends only on the node count and spacing, so the factorization is built
 once per axis and reused for every pencil and time step.
 
-The derivatives are therefore a fixed linear map of the samples, and a wide
+Every row of B annihilates constants, so B u is a fixed map of the first
+differences ``u[1:] - u[:-1]``: taken from a batch in any memory layout, they
+are the one input of both forms of ``CcdFactorization.apply``.  The
+derivatives are therefore a fixed linear map of the differences, and a wide
 batch of pencils is cheaper to push through that map as a few dense matrix
-products than through the banded triangular solves.  Every row of B
-annihilates constants, so the map is stored on the first differences
-``u[1:] - u[:-1]`` (constants then give exactly zero), and its entries decay
-geometrically away from the diagonal (Demko, Moss & Smith 1984, Math. Comp.
-43:491), so only a band of half-width ``_HALF_WIDTH`` differences is kept.
-``CcdFactorization.apply`` chooses between the two forms by batch width.
+products than through the banded triangular solves.  Constants give exactly
+zero in that form, and its entries decay geometrically away from the
+diagonal (Demko, Moss & Smith 1984, Math. Comp. 43:491), so only a band of
+half-width ``_HALF_WIDTH`` differences is kept.  ``apply`` chooses between
+the two forms by batch width.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def _band(axis: GridAxis) -> np.ndarray:
     unknowns interleaved as (u'_0, u''_0, u'_1, u''_1, ...) and equation 2i
     (2i+1) the first- (second-) derivative relation at node i.
 
-    The right-hand sides ``B u`` of the same equations are formed by
-    ``_build_rhs``.
+    The right-hand sides ``B u`` of the same equations are formed from
+    first differences by ``_build_rhs``.
     """
     m = axis.n_nodes
     h = axis.spacing
@@ -113,16 +115,17 @@ def _band(axis: GridAxis) -> np.ndarray:
     return ab
 
 
-def _build_rhs(u: np.ndarray, h: float) -> np.ndarray:
-    """The right-hand side B u of the interleaved system (see ``_band``)."""
-    m = u.shape[0]
-    r = np.zeros((2 * m,) + u.shape[1:])
-    r[2:2 * m - 2:2] = (15 / (16 * h)) * (u[2:] - u[:-2])
-    r[3:2 * m - 1:2] = (3 / h**2) * (u[2:] - 2 * u[1:-1] + u[:-2])
-    r[0] = -(31 * u[0] - 32 * u[1] + u[2]) / h
-    r[1] = -(7 * u[0] - 8 * u[1] + u[2]) / (2 * h)
-    r[2 * m - 2] = (31 * u[-1] - 32 * u[-2] + u[-3]) / h
-    r[2 * m - 1] = (7 * u[-1] - 8 * u[-2] + u[-3]) / (2 * h)
+def _build_rhs(du: np.ndarray, h: float) -> np.ndarray:
+    """The right-hand side B u of the interleaved system (see ``_band``),
+    from the first differences ``du = u[1:] - u[:-1]``."""
+    m = du.shape[0] + 1
+    r = np.empty((2 * m,) + du.shape[1:])
+    r[2:2 * m - 2:2] = (15 / (16 * h)) * (du[1:] + du[:-1])
+    r[3:2 * m - 1:2] = (3 / h**2) * (du[1:] - du[:-1])
+    r[0] = (31 * du[0] - du[1]) / h
+    r[1] = (7 * du[0] - du[1]) / (2 * h)
+    r[2 * m - 2] = (31 * du[-1] - du[-2]) / h
+    r[2 * m - 1] = (7 * du[-1] - du[-2]) / (2 * h)
     return r
 
 
@@ -131,8 +134,9 @@ def dense_matrices(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
     block (non-interleaved) order, A being 2m x 2m and B 2m x m.
 
     Both are read back from the production forms, A from ``_band`` and B
-    from ``_build_rhs`` applied to the identity, so they carry no second copy
-    of the coefficients.  For tests and the solvability audit only.
+    from ``_build_rhs`` applied to the differences of the identity, so they
+    carry no second copy of the coefficients.  For tests and the solvability
+    audit only.
     """
     m = axis.n_nodes
     n = 2 * m
@@ -143,9 +147,8 @@ def dense_matrices(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
         j = cols[max(0, -d):min(n, n - d)]
         full[j + d, j] = ab[_KL + _KU + d, j]
     block = np.r_[0:n:2, 1:n:2]
-    rhs = _build_rhs(np.eye(m), axis.spacing)
-    # + 0.0 turns the -0.0 left in the closure rows of B into 0.0
-    return full[np.ix_(block, block)], rhs[block] + 0.0
+    rhs = _build_rhs(np.diff(np.eye(m), axis=0), axis.spacing)
+    return full[np.ix_(block, block)], rhs[block]
 
 
 class CcdFactorization:
@@ -185,13 +188,8 @@ class CcdFactorization:
         return x
 
     def _difference_operator(self) -> np.ndarray:
-        """E = A^-1 B~ with shape (2, m, m - 1), where B u = B~ (u[1:] - u[:-1]).
-
-        B~ = B T, with T the lower-triangular ones that sum differences back
-        into samples less the first (B annihilates that constant).
-        """
-        m = self.m
-        x = self._solve(_build_rhs(np.tri(m, m - 1, -1), self.axis.spacing))
+        """E = A^-1 B~ with shape (2, m, m - 1), where B u = B~ (u[1:] - u[:-1])."""
+        x = self._solve(_build_rhs(np.eye(self.m - 1), self.axis.spacing))
         return np.stack((x[0::2], x[1::2]))
 
     def _build_blocks(self) -> tuple:
@@ -237,24 +235,27 @@ class CcdFactorization:
 
     def apply(self, samples: np.ndarray) -> DerivativePair:
         """Differentiate one pencil (shape (m,)) or a batch whose pencils run
-        down the first index (shape (m, ...)), into new arrays."""
+        down the first index (shape (m, ...)), into new arrays.  The batch
+        is read as given, strided views included: both forms take only its
+        first differences."""
         u = np.asarray(samples, dtype=float)
         if u.shape[0] != self.m:
             raise ValueError(
                 f"expected {self.m} samples per pencil, got {u.shape[0]}"
             )
+        # C order, so that the reshapes below never copy
+        du = np.subtract(u[1:], u[:-1], order="C")
         pencils = u.size // self.m
         if pencils >= self._wide_from:
             self.prepare(pencils)
-            flat = u.reshape(self.m, pencils)
-            du = flat[1:] - flat[:-1]
+            du = du.reshape(self.m - 1, pencils)
             out = np.empty((2, self.m, pencils))
             for row, col, block in self._blocks:
                 rows, cols = block.shape[1:]
                 np.matmul(block, du[col:col + cols], out=out[:, row:row + rows])
             return DerivativePair(first=out[0].reshape(u.shape),
                                   second=out[1].reshape(u.shape))
-        r = _build_rhs(u, self.axis.spacing)
+        r = _build_rhs(du, self.axis.spacing)
         x = self._solve(r.reshape(2 * self.m, -1)).reshape(r.shape)
         return DerivativePair(first=x[0::2], second=x[1::2])
 

@@ -199,6 +199,11 @@ def example2_spec(inv_re: float = 0.1, final_time: float = 1.0) -> ProblemSpec:
 
 
 def example3_spec(inv_re: float = 0.1, final_time: float = 0.1) -> ProblemSpec:
+    if final_time >= SINGULAR_TIME_3:
+        raise ValueError(
+            f"example 3 is singular at t = 1/sqrt(2); final_time must be "
+            f"below {SINGULAR_TIME_3:.6g}, got {final_time}"
+        )
     return ProblemSpec(
         dimension=2,
         domain=((0.0, 0.5), (0.0, 0.5)),

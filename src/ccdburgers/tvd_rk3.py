@@ -32,10 +32,6 @@ class FieldSet:
     components: tuple[np.ndarray, ...]
     time: float
 
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
 
 RhsFn = Callable[[FieldSet], Sequence[np.ndarray]]
 

@@ -56,9 +56,10 @@ def test_spans_count_wide_batch_pencils():
 
 
 def test_spans_count_pencils_of_unreshaped_3d_fields():
-    # example 4 on 4 x 4 x 4 cells: axis 0 passes each (5, 5, 5) component
-    # to apply unreshaped, the other axes a (5, 25) copy; every apply carries
-    # 25 pencils, and 3 components are differentiated along 3 axes
+    # example 4 on 4 x 4 x 4 cells: every axis passes each (5, 5, 5)
+    # component to apply unreshaped, as a view with that axis first; every
+    # apply carries 25 pencils, and 3 components are differentiated along
+    # 3 axes
     spans = _load_spans()
     tracer = spans.Tracer()
     with spans.patched(tracer, ccd, model, tvd_rk3, exact):

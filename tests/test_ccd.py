@@ -226,6 +226,33 @@ def test_boundary_order_at_least_4():
     assert math.log2(e32 / e64) >= 3.7
 
 
+def test_banded_accuracy_on_a_long_axis():
+    # B u is formed from the first differences, not from the samples: on
+    # 1025 nodes, samples weighted by 3/h^2 lost the second derivative to
+    # cancellation (2.4e-8 error against 9.2e-10 from differences)
+    ax = GridAxis(1024)
+    x = ax.nodes()
+    pair = get_factorization(ax).apply(np.sin(x))
+    assert np.max(np.abs(pair.first - np.cos(x))) <= 1e-12
+    assert np.max(np.abs(pair.second + np.sin(x))) <= 2e-9
+
+
+# 8 pencils on 65 nodes take the banded solve, 65 pencils on 9 nodes the
+# block-banded operator
+@pytest.mark.parametrize("n_cells,pencils", [(64, 8), (8, 65)],
+                         ids=["banded", "wide"])
+def test_apply_reads_views_as_given(n_cells, pencils, rng):
+    fact = CcdFactorization(GridAxis(n_cells))
+    base = rng.standard_normal((pencils, 3, fact.m))
+    # the pencils run down the last axis of the base, read through a 2-D
+    # transpose and through a 3-D transpose that steps by 2
+    for view in (base[:, 1].T, np.repeat(base, 2, axis=2)[:, :, ::2].T):
+        assert not view.flags.c_contiguous and view.shape[0] == fact.m
+        got, want = fact.apply(view), fact.apply(view.copy())
+        np.testing.assert_array_equal(got.first, want.first)
+        np.testing.assert_array_equal(got.second, want.second)
+
+
 def test_batched_apply_matches_columnwise(rng):
     # up to one pencil short of min(m, 129), a batch is still the banded
     # solve, bit for bit

@@ -191,6 +191,21 @@ def test_output_write_failure_is_one_line_error(tmp_path, monkeypatch, capsys):
     assert "Permission denied" in err
 
 
+def test_solve_past_example3_singularity_is_config_error(tmp_path, monkeypatch,
+                                                        capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    outdir = tmp_path / "out"
+    rc = cli.main(["solve", "--example", "3", "--m", "8", "--final-time", "0.8",
+                   "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "singular" in err
+    assert not (outdir / "run_manifest.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_instability_exit_code(tmp_path):
     rc = cli.main([

@@ -197,6 +197,15 @@ def test_example3_singular_time_guard():
         example3_exact(0.2, 0.2, SINGULAR_TIME_3)
 
 
+def test_example3_spec_refuses_singular_final_time():
+    # refused when the problem is built, not when a step first reaches the
+    # singularity
+    for final_time in (SINGULAR_TIME_3, 0.8):
+        with pytest.raises(ValueError, match="singular"):
+            example3_spec(final_time=final_time)
+    assert example3_spec(final_time=0.7).final_time == 0.7
+
+
 def test_example3_residual_gate():
     spec = example3_spec()
     assert max(pde_residual(spec, spec.exact_fn, 0.05, [8, 8])) < 1e-10
