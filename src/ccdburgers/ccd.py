@@ -15,20 +15,20 @@ truncation error) is
   determines its three-point B row uniquely, so no three-point closure of
   this form does better.
 
-All 2*(M+1) unknowns are obtained from one banded linear solve whose matrix
-depends only on the node count and spacing, so the factorization is built
-once per axis and reused for every pencil and time step.
+Every row of B annihilates constants, so B u = B~ (u[1:] - u[:-1]): the
+derivatives are the fixed linear map E = A^-1 B~ of the first differences.
+``CcdFactorization.apply`` multiplies every batch by E, a single pencil
+included, so constants give exactly zero.  E's entries decay geometrically
+away from the diagonal (Demko, Moss & Smith 1984, Math. Comp. 43:491), so
+only a band of half-width ``_HALF_WIDTH`` differences is kept, in row blocks.
+E is built once per axis, along one of two routes:
 
-Every row of B annihilates constants, so B u is a fixed map of the first
-differences ``u[1:] - u[:-1]``: taken from a batch in any memory layout, they
-are the one input of both forms of ``CcdFactorization.apply``.  The
-derivatives are therefore a fixed linear map of the differences, and a wide
-batch of pencils is cheaper to push through that map as a few dense matrix
-products than through the banded triangular solves.  Constants give exactly
-zero in that form, and its entries decay geometrically away from the
-diagonal (Demko, Moss & Smith 1984, Math. Comp. 43:491), so only a band of
-half-width ``_HALF_WIDTH`` differences is kept.  ``apply`` chooses between
-the two forms by batch width.
+* an axis of fewer than ``_APART`` nodes, whose two ends still interact,
+  solves the banded system for it (``_difference_operator``);
+* a longer axis is sliced from pieces of one 129-node operator at h = 1,
+  built at import: the Toeplitz band of its interior rows, plus the
+  correction in the corner at the left end, plus that corner mirrored to
+  the right end, with the rows scaled by 1/h and 1/h^2.
 """
 
 from __future__ import annotations
@@ -55,16 +55,18 @@ _KU = 3
 _S = -10 + math.sqrt(54)
 _DECAY = abs(_S + math.sqrt(_S * _S - 4)) / 2
 # Largest entry, relative to its row's maximum, that the block-banded
-# operator may drop; checked when the operator is built.
+# operator may drop; checked at import, on the pieces every long axis uses.
 _TAIL = 1e-16
 # Differences kept on each side of a node: the smallest width whose
 # geometric tail _DECAY^W / (1 - _DECAY) is below _TAIL (48).
 _HALF_WIDTH = math.ceil(math.log(_TAIL * (1 - _DECAY)) / math.log(_DECAY))
-# Nodes per row block.  An axis of at most _ONE_BLOCK nodes is one dense
-# block; a longer one is cut from a proxy axis of _ONE_BLOCK nodes, whose
-# first and last _BLOCK rows are the corners and whose middle row is the
-# interior stencil.  _ONE_BLOCK is also the batch width from which the
-# operator pays for its build within about one apply.
+# Nodes from which the two ends of an axis no longer interact: the smallest
+# m with _DECAY^(m - 1) below _TAIL (48).
+_APART = 1 + math.ceil(math.log(_TAIL) / math.log(_DECAY))
+# Nodes per row block, and the side of the corner at either end in which E
+# departs from its band.  An axis of at most _ONE_BLOCK nodes is one dense
+# block; a longer one is a top corner block, Toeplitz interior blocks and a
+# bottom corner block.
 _BLOCK = 64
 _ONE_BLOCK = 2 * _BLOCK + 1
 
@@ -151,113 +153,117 @@ def dense_matrices(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
     return full[np.ix_(block, block)], rhs[block]
 
 
+def _difference_operator(axis: GridAxis) -> np.ndarray:
+    """E = A^-1 B~ with shape (2, m, m - 1), where B u = B~ (u[1:] - u[:-1]),
+    from a banded LU solve: first derivatives in [0], second in [1]."""
+    rhs = _build_rhs(np.eye(axis.n_nodes - 1), axis.spacing)
+    x, info = lapack.dgbsv(_KL, _KU, _band(axis), rhs,
+                           overwrite_ab=True, overwrite_b=True)[2:]
+    if info != 0:
+        # Unreachable for valid axes: the CCD matrix is provably
+        # nonsingular (see the solvability audit).
+        raise np.linalg.LinAlgError(
+            f"banded solve of the CCD system failed (info={info})"
+        )
+    return np.stack((x[0::2], x[1::2]))
+
+
+def _unit_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E on _ONE_BLOCK nodes at h = 1, as the pieces that every axis of at
+    least _APART nodes is sliced from: the Toeplitz band of its middle row,
+    a read-only view wide enough for an interior row block; the correction
+    that E adds to the band in its first _BLOCK rows and differences, near
+    the left end; and that corner's mirror image, near the right end.
+
+    Refuses a half-width at which the band and corners would drop more than
+    _TAIL of a row's maximum.
+    """
+    cells = _ONE_BLOCK - 1
+    e = _difference_operator(GridAxis(cells, 0.0, float(cells)))
+    b, w = _BLOCK, _HALF_WIDTH
+    offset = np.arange(cells) - np.arange(_ONE_BLOCK)[:, None]
+    kept = (-w <= offset) & (offset < w)
+    kept[:b, :b] = kept[-b:, -b:] = True
+    worst = float(np.max(np.abs(e * ~kept).max(axis=2) / np.abs(e).max(axis=2)))
+    if worst > _TAIL:
+        raise RuntimeError(
+            f"the block-banded CCD operator would drop {worst:.2g} of a "
+            f"row's maximum (half-width {w}, limit {_TAIL:.0e})"
+        )
+    # band[:, i, j] = line[:, cells + j - i], the stencil at offset j - i
+    cols = b + 2 * w - 1
+    line = np.zeros((2, _ONE_BLOCK + cols - 1))
+    line[:, cells - w:cells + w] = e[:, b, b - w:b + w]
+    band = np.lib.stride_tricks.sliding_window_view(line, cols, axis=1)[:, ::-1]
+    left = e[:, :b, :b] - band[:, :b, :b]
+    # reversing the axis maps E_1 to itself and E_2 to -E_2
+    right = left[:, ::-1, ::-1] * np.array([[[1.0]], [[-1.0]]])
+    return band, left, right
+
+
+_BAND, _LEFT, _RIGHT = _unit_pieces()
+
+
 class CcdFactorization:
-    """Banded LU factorization of the CCD system for one axis, and the
-    block-banded operator that wide batches are multiplied by.
+    """The CCD operator E of one axis, held in row blocks.
 
     ``apply`` maps nodal samples (one pencil per column) to nodal first and
-    second derivatives.  Construction performs the single LU factorization.
-    A batch of fewer than ``min(m, 129)`` pencils runs the banded triangular
-    solves; a wider one is multiplied by the explicit operator, built once
-    from the factorization by ``prepare`` or by the first wide apply.  A
-    factorization can be shared freely across pencils, directions and time
-    steps.
+    second derivatives.  Construction builds E, so the factorization cache,
+    and with it a run's setup, pays for it.  A factorization can be shared
+    freely across pencils, directions and time steps.
     """
 
     def __init__(self, axis: GridAxis):
         self.axis = axis
-        self.m = axis.n_nodes
-        lu, ipiv, info = lapack.dgbtrf(_band(axis), kl=_KL, ku=_KU)
-        if info != 0:
-            # Unreachable for valid axes: the CCD matrix is provably
-            # nonsingular (see the solvability audit).
-            raise np.linalg.LinAlgError(
-                f"banded LU of the CCD matrix failed (info={info})"
-            )
-        self._lu = lu
-        self._ipiv = ipiv
-        self._wide_from = min(self.m, _ONE_BLOCK)
+        self.m = m = axis.n_nodes
         # (first node, first difference, (2, rows, columns) block) per row
         # block, first derivatives in [0] and second in [1]
-        self._blocks: tuple | None = None
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgbtrs(self._lu, _KL, _KU, rhs, self._ipiv)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"banded solve failed (info={info})")
-        return x
-
-    def _difference_operator(self) -> np.ndarray:
-        """E = A^-1 B~ with shape (2, m, m - 1), where B u = B~ (u[1:] - u[:-1])."""
-        x = self._solve(_build_rhs(np.eye(self.m - 1), self.axis.spacing))
-        return np.stack((x[0::2], x[1::2]))
-
-    def _build_blocks(self) -> tuple:
-        m = self.m
-        if m <= _ONE_BLOCK:
-            return ((0, 0, self._difference_operator()),)
+        if m < _APART:
+            self._blocks = ((0, 0, _difference_operator(axis)),)
+            return
         b, w = _BLOCK, _HALF_WIDTH
-        cells = _ONE_BLOCK - 1
-        proxy = CcdFactorization(GridAxis(cells, 0.0, cells * self.axis.spacing))
-        e = proxy._difference_operator()
-        # Row i keeps differences i - w .. i + w - 1 in the interior and its
-        # whole (clipped) block window at the corners; the rest is dropped.
-        dropped = np.abs(e)
-        peak = dropped.max(axis=2)
-        dropped[:, :b, :b + w - 1] = 0.0
-        dropped[:, b + 1:, b + 1 - w:] = 0.0
-        dropped[:, b, b - w:b + w] = 0.0
-        worst = float(np.max(dropped.max(axis=2) / peak))
-        del dropped  # before the blocks are copied: 0.9 MiB peak at 1025 nodes
-        if worst > _TAIL:
-            raise RuntimeError(
-                f"the block-banded CCD operator would drop {worst:.2g} of a "
-                f"row's maximum (half-width {w}, limit {_TAIL:.0e})"
-            )
-        # One Toeplitz block serves every interior row block: entry (r, c)
-        # couples node row0 + r to difference row0 - w + c.
-        interior = np.zeros((2, b, b + 2 * w - 1))
-        for r in range(b):
-            interior[:, r, r:r + 2 * w] = e[:, b, b - w:b + w]
-        blocks = [(0, 0, np.ascontiguousarray(e[:, :b, :b + w - 1]))]
-        for row in range(b, m - b, b):
-            rows = min(b, m - b - row)
-            blocks.append((row, row - w, interior[:, :rows, :rows + 2 * w - 1]))
-        blocks.append(
-            (m - b, m - b - w, np.ascontiguousarray(e[:, b + 1:, b + 1 - w:])))
-        return tuple(blocks)
-
-    def prepare(self, pencils: int) -> None:
-        """Build now what an apply of ``pencils`` pencils will use, so that
-        a run's setup, not its first step, pays for the explicit operator."""
-        if pencils >= self._wide_from and self._blocks is None:
-            self._blocks = self._build_blocks()
+        scale = np.array([[[1 / axis.spacing]], [[1 / axis.spacing**2]]])
+        # The band, plus each end's correction in its corner block; one
+        # array serves as both corner blocks of a one-block axis.
+        one = m <= _ONE_BLOCK
+        top = np.array(_BAND[:, :m, :m - 1] if one else _BAND[:, :b, :b + w - 1])
+        bottom = top if one else np.array(_BAND[:, w:w + b, :b + w - 1])
+        top[:, :b, :b] += _LEFT[:, :m, :m - 1]
+        bottom[:, -b:, -b:] += _RIGHT[:, -m:, 1 - m:]
+        top *= scale
+        blocks = [(0, 0, top)]
+        if not one:
+            bottom *= scale
+            # One Toeplitz block serves every interior row block: entry
+            # (r, c) couples node row0 + r to difference row0 - w + c.
+            interior = _BAND[:, w:w + b] * scale
+            for row in range(b, m - b, b):
+                rows = min(b, m - b - row)
+                blocks.append(
+                    (row, row - w, interior[:, :rows, :rows + 2 * w - 1]))
+            blocks.append((m - b, m - b - w, bottom))
+        self._blocks = tuple(blocks)
 
     def apply(self, samples: np.ndarray) -> DerivativePair:
         """Differentiate one pencil (shape (m,)) or a batch whose pencils run
-        down the first index (shape (m, ...)), into new arrays.  The batch
-        is read as given, strided views included: both forms take only its
-        first differences."""
-        u = np.asarray(samples, dtype=float)
-        if u.shape[0] != self.m:
+        down the first index (shape (m, ...)), into new arrays, by
+        multiplying the first differences by E.  The batch is read as
+        given, strided views included."""
+        u = np.asarray(samples)
+        if u.dtype.kind not in "biuf" or u.ndim == 0 or u.shape[0] != self.m:
             raise ValueError(
-                f"expected {self.m} samples per pencil, got {u.shape[0]}"
+                f"expected real samples of shape ({self.m}, ...), got "
+                f"{u.dtype} samples of shape {u.shape}"
             )
         # C order, so that the reshapes below never copy
-        du = np.subtract(u[1:], u[:-1], order="C")
-        pencils = u.size // self.m
-        if pencils >= self._wide_from:
-            self.prepare(pencils)
-            du = du.reshape(self.m - 1, pencils)
-            out = np.empty((2, self.m, pencils))
-            for row, col, block in self._blocks:
-                rows, cols = block.shape[1:]
-                np.matmul(block, du[col:col + cols], out=out[:, row:row + rows])
-            return DerivativePair(first=out[0].reshape(u.shape),
-                                  second=out[1].reshape(u.shape))
-        r = _build_rhs(du, self.axis.spacing)
-        x = self._solve(r.reshape(2 * self.m, -1)).reshape(r.shape)
-        return DerivativePair(first=x[0::2], second=x[1::2])
+        du = np.subtract(u[1:], u[:-1], order="C", dtype=float)
+        du = du.reshape(self.m - 1, u.size // self.m)
+        out = np.empty((2, self.m, du.shape[1]))
+        for row, col, block in self._blocks:
+            rows, cols = block.shape[1:]
+            np.matmul(block, du[col:col + cols], out=out[:, row:row + rows])
+        return DerivativePair(first=out[0].reshape(u.shape),
+                              second=out[1].reshape(u.shape))
 
 
 _CACHE: dict[tuple[int, float], CcdFactorization] = {}

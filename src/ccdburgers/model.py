@@ -8,7 +8,6 @@ right-hand side is explicit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -252,16 +251,11 @@ def run(
         snapshot_steps[k] = t_snap
 
     advisory = stability_guard(spec, resolution, dt)
-    # Each apply along an axis carries every pencil of the grid; a wide
-    # batch's explicit operator is built here, in setup, as is every array
-    # the time loop writes.
-    nodes = math.prod(ax.n_nodes for ax in axes)
-    for fact in facts:
-        fact.prepare(nodes // fact.m)
-    # The right-hand side, the middle stage and the advection scratch share
-    # one allocation.  As separate arrays on 32^3 cells they made the
-    # allocator return and refetch memory every step: 1654 minor page
-    # faults per step instead of 72.
+    # Setup allocates every array the time loop writes, as get_factorization
+    # above built each axis's operator.  The right-hand side, the middle
+    # stage and the advection scratch share one allocation.  As separate
+    # arrays on 32^3 cells they made the allocator return and refetch memory
+    # every step: 1654 minor page faults per step instead of 72.
     d = spec.dimension
     work = np.empty((2 * d + 1,) + initial[0].shape)
     rhs_out, stage, scratch = tuple(work[:d]), tuple(work[d:-1]), work[-1]

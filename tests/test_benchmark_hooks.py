@@ -36,8 +36,8 @@ def test_spans_record_patched_calls():
 
 def test_spans_count_wide_batch_pencils():
     # example 3 on 8 x 8 cells: each axis's apply carries all 9 pencils of
-    # 9 nodes, which takes the block-banded form; both components are
-    # differentiated along both axes in every right-hand side
+    # 9 nodes; both components are differentiated along both axes in every
+    # right-hand side
     spans = _load_spans()
     tracer = spans.Tracer()
     with spans.patched(tracer, ccd, model, tvd_rk3, exact):
@@ -52,7 +52,10 @@ def test_spans_count_wide_batch_pencils():
     # boundary_fn once on each of the 4 faces
     assert calls["model.set_boundary"] == 3
     assert calls["spec.boundary_fn"] == 12
-    assert ccd.get_factorization(problem.axes([8, 8])[0])._blocks is not None
+    # the span of get_factorization, which builds the operator, handed
+    # both axes the factorization that holds it
+    fact = ccd.get_factorization(problem.axes([8, 8])[0])
+    assert tracer.factorizations == {id(fact)}
 
 
 def test_spans_count_pencils_of_unreshaped_3d_fields():

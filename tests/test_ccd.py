@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import ccdburgers
 from ccdburgers import ccd
@@ -75,13 +76,12 @@ def test_small_system_well_conditioned():
 
 
 def test_factorization_holds_no_dense_matrix():
-    # the band of 2050 unknowns is 164 KB; six dense 1025 x 1025 blocks
-    # would be 48 MiB, and a dense 2050 x 1025 A^-1 B 16 MiB.  The wide-batch
-    # operator is built from a 129-node proxy axis.
+    # six dense 1025 x 1025 blocks would be 48 MiB, and a dense
+    # 2 x 1025 x 1024 A^-1 B~ 16 MiB.  The row blocks of a long axis are
+    # sliced from pieces built at import.
     tracemalloc.start()
     try:
         fact = CcdFactorization(GridAxis(1024))
-        fact.prepare(fact.m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -98,16 +98,13 @@ def test_public_names_resolve():
 
 
 def test_constants_annihilated():
-    fact = get_factorization(GridAxis(7))
-    pair = fact.apply(np.full(8, 3.7))
-    assert np.max(np.abs(pair.first)) < 1e-12
-    assert np.max(np.abs(pair.second)) < 1e-11
-    # a wide batch takes the operator on differences: exactly zero, on one
-    # block (9 nodes) and on blocks cut from the proxy axis (201 nodes)
-    for n_cells in (8, 200):
+    # the operator acts on differences: exactly zero, for one pencil and a
+    # batch, on both build routes and on one block or several
+    for n_cells in (7, 80, 200):
         fact = CcdFactorization(GridAxis(n_cells))
-        pair = fact.apply(np.full((fact.m, fact.m), 3.7))
-        assert not np.any(pair.first) and not np.any(pair.second)
+        for u in (np.full(fact.m, 3.7), np.full((fact.m, fact.m), 3.7)):
+            pair = fact.apply(u)
+            assert not np.any(pair.first) and not np.any(pair.second)
 
 
 def test_quadratic_exact():
@@ -179,7 +176,7 @@ def test_large_axis_residual(rng):
     _assert_small_residual(100, rng)
 
 
-# the banded solve against the dense product A^-1 B of the dense views;
+# the operator against the dense product A^-1 B of the dense views;
 # 10 cells on [0, 0.5] gives a spacing that is not 1/n_cells
 @pytest.mark.parametrize(
     "n_cells,right",
@@ -227,8 +224,8 @@ def test_boundary_order_at_least_4():
 
 
 def test_banded_accuracy_on_a_long_axis():
-    # B u is formed from the first differences, not from the samples: on
-    # 1025 nodes, samples weighted by 3/h^2 lost the second derivative to
+    # the operator reads the first differences, not the samples: on 1025
+    # nodes, samples weighted by 3/h^2 lost the second derivative to
     # cancellation (2.4e-8 error against 9.2e-10 from differences)
     ax = GridAxis(1024)
     x = ax.nodes()
@@ -237,10 +234,9 @@ def test_banded_accuracy_on_a_long_axis():
     assert np.max(np.abs(pair.second + np.sin(x))) <= 2e-9
 
 
-# 8 pencils on 65 nodes take the banded solve, 65 pencils on 9 nodes the
-# block-banded operator
-@pytest.mark.parametrize("n_cells,pencils", [(64, 8), (8, 65)],
-                         ids=["banded", "wide"])
+# 8 pencils on 201 nodes (several row blocks), 65 pencils on 9 nodes (one)
+@pytest.mark.parametrize("n_cells,pencils", [(200, 8), (8, 65)],
+                         ids=["narrow", "wide"])
 def test_apply_reads_views_as_given(n_cells, pencils, rng):
     fact = CcdFactorization(GridAxis(n_cells))
     base = rng.standard_normal((pencils, 3, fact.m))
@@ -254,22 +250,36 @@ def test_apply_reads_views_as_given(n_cells, pencils, rng):
 
 
 def test_batched_apply_matches_columnwise(rng):
-    # up to one pencil short of min(m, 129), a batch is still the banded
-    # solve, bit for bit
-    for n_cells, pencils in ((16, 5), (8, 8), (200, 128)):
+    # a batch and its pencils one at a time take the same products, summed
+    # in whatever order BLAS picks for the width: equal to rounding
+    for n_cells, pencils in ((16, 5), (80, 8), (200, 128)):
         fact = get_factorization(GridAxis(n_cells))
         batch = rng.standard_normal((fact.m, pencils))
         pair = fact.apply(batch)
         for k in range(pencils):
             single = fact.apply(batch[:, k])
-            np.testing.assert_array_equal(pair.first[:, k], single.first)
-            np.testing.assert_array_equal(pair.second[:, k], single.second)
+            for got, want in ((pair.first[:, k], single.first),
+                              (pair.second[:, k], single.second)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_apply_rejects_wrong_length():
     fact = get_factorization(GridAxis(8))
     with pytest.raises(ValueError):
         fact.apply(np.zeros(8))
+
+
+def test_apply_rejects_complex_samples():
+    # converting to float would drop the imaginary part
+    fact = get_factorization(GridAxis(8))
+    with pytest.raises(ValueError, match=r"real samples of shape \(9, \.\.\.\)"):
+        fact.apply(np.ones(9, dtype=complex))
+
+
+def test_apply_rejects_a_scalar():
+    fact = get_factorization(GridAxis(8))
+    with pytest.raises(ValueError, match=r"real samples of shape \(9, \.\.\.\)"):
+        fact.apply(np.float64(1.0))
 
 
 def test_factorization_cache_shared():
@@ -280,33 +290,49 @@ def test_factorization_cache_shared():
     assert c is not a
 
 
-# --- the block-banded operator of wide batches ------------------------------
+# --- the operator against a banded solve -----------------------------------
 
-# 9 and 33 nodes are one block; 129 is the largest one-block axis, 130 the
-# smallest cut from the proxy (with a two-node interior block), 201 and
-# 1025 end on a short interior block; spacing 0.02 is not 1/n_cells
+def _banded_reference(axis, u):
+    """u' and u'' of the pencils ``u`` (one per column) from a banded solve
+    of the interleaved system, its right-hand side formed from u's first
+    differences."""
+    rhs = ccd._build_rhs(np.diff(u, axis=0), axis.spacing)
+    x, info = lapack.dgbsv(ccd._KL, ccd._KU, ccd._band(axis), rhs)[2:]
+    assert info == 0
+    return x[0::2], x[1::2]
+
+
+# 5, 9 and 33 nodes take the banded build, as does _APART - 1, whose two
+# ends still interact; from _APART on, the operator is sliced from the
+# import-time pieces: as one block up to 129 nodes, and 130 (a two-node
+# interior block), 201 and 1025 (a short last interior block) in several;
+# spacings 0.0375 and 0.02 are not 1/n_cells
 @pytest.mark.parametrize(
     "n_cells,right",
-    [(8, 1.0), (32, 1.0), (128, 1.0), (129, 1.0), (200, 1.0), (1024, 1.0),
-     (150, 3.0)],
-    ids=["9", "33", "129", "130", "201", "1025", "151-h0.02"],
+    [(4, 1.0), (8, 1.0), (32, 1.0), (ccd._APART - 2, 1.0),
+     (ccd._APART - 1, 1.0), (80, 1.0), (80, 3.0), (128, 1.0), (129, 1.0),
+     (200, 1.0), (1024, 1.0), (150, 3.0)],
+    ids=["5", "9", "33", str(ccd._APART - 1), str(ccd._APART), "81",
+         "81-h0.0375", "129", "130", "201", "1025", "151-h0.02"],
 )
 def test_wide_batch_matches_banded(n_cells, right, rng):
-    fact = CcdFactorization(GridAxis(n_cells, 0.0, right))
+    ax = GridAxis(n_cells, 0.0, right)
+    fact = CcdFactorization(ax)
     batch = rng.standard_normal((fact.m, min(fact.m, 129)))
-    wide = fact.apply(batch)
-    columns = [fact.apply(col) for col in batch.T]
-    # each column against its banded solve, relative to the batch's largest
-    # derivative
-    for got, want in ((wide.first, np.column_stack([c.first for c in columns])),
-                      (wide.second, np.column_stack([c.second for c in columns]))):
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(got - want), axis=0).max() <= 1e-13 * scale
+    pair, single = fact.apply(batch), fact.apply(batch[:, 0])
+    # each column, and the first alone, against its banded solve, relative
+    # to the column's largest derivative
+    for got, one, ref in zip((pair.first, pair.second),
+                             (single.first, single.second),
+                             _banded_reference(ax, batch)):
+        bound = 1e-13 * np.max(np.abs(ref), axis=0)
+        assert np.all(np.max(np.abs(got - ref), axis=0) <= bound)
+        assert np.max(np.abs(one - ref[:, 0])) <= bound[0]
 
 
 # the axes of test_polynomial_exactness and ex4's; rounding in the second
-# derivative grows like 1/h^2, so on either form 1e-10 holds only on short
-# axes (the banded solve leaves 4.5e-9 at 201 nodes)
+# derivative grows like 1/h^2, so 1e-10 holds only on short axes (the
+# banded solve leaves 4.5e-9 at 201 nodes)
 @pytest.mark.parametrize(
     "n_cells,left,right", [(8, 0.0, 1.0), (21, -1.0, 2.0), (32, 0.0, 1.0)])
 def test_wide_batch_polynomial_exactness(n_cells, left, right, rng):
@@ -332,17 +358,17 @@ def test_interior_decay_rate_matches_recurrence_root():
     # sets the half-width, at any spacing
     z = -ccd._DECAY
     assert abs(1 + 20 * z + 48 * z**2 + 20 * z**3 + z**4) < 1e-14
-    assert ccd._HALF_WIDTH == 48
+    assert ccd._HALF_WIDTH == 48 and ccd._APART == 48
     for right in (1.0, 7.0):
-        fact = CcdFactorization(GridAxis(128, 0.0, right))
-        e = fact._difference_operator()
+        e = ccd._difference_operator(GridAxis(128, 0.0, right))
         for row in e[:, 64]:
             ratios = np.abs(row[64 + 11:64 + 21] / row[64 + 10:64 + 20])
             np.testing.assert_allclose(ratios, ccd._DECAY, rtol=1e-6)
 
 
 def test_block_layout_checks_dropped_tail(monkeypatch):
-    CcdFactorization(GridAxis(200)).prepare(129)
+    # the import-time build of the pieces runs the check
+    ccd._unit_pieces()
     monkeypatch.setattr(ccd, "_HALF_WIDTH", 16)
     with pytest.raises(RuntimeError, match="half-width 16"):
-        CcdFactorization(GridAxis(200)).prepare(129)
+        ccd._unit_pieces()

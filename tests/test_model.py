@@ -213,21 +213,22 @@ def test_constant_problem_is_steady():
 
 
 def test_run_builds_wide_operator_before_first_step(monkeypatch):
-    # every apply on 8 x 8 cells carries 9 pencils of 9 nodes, a wide batch;
-    # its operator belongs to the run's setup, not to its first step
+    # a factorization builds its operator when it is made, so the one that
+    # both axes of 8 x 8 cells share is in the cache before the first step
     spec = example3_spec(final_time=0.01)
     axis = spec.axes([8, 8])[0]
     step = model.tvd_rk3_step
     built = []
 
     def first_step(*args, **kwargs):
-        built.append(get_factorization(axis)._blocks is not None)
+        built.append(tuple(ccd._CACHE.values()))
         return step(*args, **kwargs)
 
     monkeypatch.setattr(model, "tvd_rk3_step", first_step)
     monkeypatch.setattr(ccd, "_CACHE", {})
     run(spec, [8, 8], 0.005)
-    assert built == [True, True]
+    fact = get_factorization(axis)
+    assert built == [(fact,), (fact,)]
 
 
 def test_zero_final_time_returns_initial():
