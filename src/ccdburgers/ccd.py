@@ -216,13 +216,26 @@ class CcdFactorization:
     def __init__(self, axis: GridAxis):
         self.axis = axis
         self.m = m = axis.n_nodes
-        # (first node, first difference, (2, rows, columns) block) per row
-        # block, first derivatives in [0] and second in [1]
         if m < _APART:
-            self._blocks = ((0, 0, _difference_operator(axis)),)
-            return
+            blocks = [(0, 0, _difference_operator(axis))]
+        else:
+            blocks = self._sliced_blocks()
+        # (slice of nodes, slice of differences, (2, 1, rows, columns)
+        # block) per row block, first derivatives in [0] and second in [1];
+        # the groups of pencils that ``apply`` multiplies broadcast over the
+        # unit axis
+        self._blocks = tuple(
+            (slice(row, row + block.shape[1]), slice(col, col + block.shape[2]),
+             block[:, None])
+            for row, col, block in blocks)
+
+    def _sliced_blocks(self) -> list[tuple[int, int, np.ndarray]]:
+        """(first node, first difference, (2, rows, columns) block) per row
+        block of E on an axis of at least _APART nodes, sliced from the
+        import-time pieces."""
+        m, h = self.m, self.axis.spacing
         b, w = _BLOCK, _HALF_WIDTH
-        scale = np.array([[[1 / axis.spacing]], [[1 / axis.spacing**2]]])
+        scale = np.array([[[1 / h]], [[1 / h**2]]])
         # The band, plus each end's correction in its corner block; one
         # array serves as both corner blocks of a one-block axis.
         one = m <= _ONE_BLOCK
@@ -242,28 +255,59 @@ class CcdFactorization:
                 blocks.append(
                     (row, row - w, interior[:, :rows, :rows + 2 * w - 1]))
             blocks.append((m - b, m - b - w, bottom))
-        self._blocks = tuple(blocks)
+        return blocks
 
     def apply(self, samples: np.ndarray) -> DerivativePair:
         """Differentiate one pencil (shape (m,)) or a batch whose pencils run
         down the first index (shape (m, ...)), into new arrays, by
-        multiplying the first differences by E.  The batch is read as
-        given, strided views included."""
+        multiplying the first differences by E.
+
+        E is contracted along the pencils' axis in the batch's own memory
+        layout: when swapping the first index with index k gives a
+        C-contiguous view (k = 0 for a C-contiguous batch), the samples are
+        read, and the derivatives written, in that order; any other view is
+        copied to C order once.  So the derivatives of a field handed over
+        as ``f.swapaxes(0, k)``, with ``f`` C-ordered, swapped back are
+        C-ordered too.
+        """
         u = np.asarray(samples)
-        if u.dtype.kind not in "biuf" or u.ndim == 0 or u.shape[0] != self.m:
+        m = self.m
+        if u.dtype.kind not in "biuf" or u.ndim == 0 or u.shape[0] != m:
             raise ValueError(
-                f"expected real samples of shape ({self.m}, ...), got "
+                f"expected real samples of shape ({m}, ...), got "
                 f"{u.dtype} samples of shape {u.shape}"
             )
-        # C order, so that the reshapes below never copy
-        du = np.subtract(u[1:], u[:-1], order="C", dtype=float)
-        du = du.reshape(self.m - 1, u.size // self.m)
-        out = np.empty((2, self.m, du.shape[1]))
-        for row, col, block in self._blocks:
-            rows, cols = block.shape[1:]
-            np.matmul(block, du[col:col + cols], out=out[:, row:row + rows])
-        return DerivativePair(first=out[0].reshape(u.shape),
-                              second=out[1].reshape(u.shape))
+        if u.size == 0:
+            return DerivativePair(first=np.empty(u.shape),
+                                  second=np.empty(u.shape))
+        k = 0
+        if not u.flags.c_contiguous:
+            k = next((k for k in range(1, u.ndim)
+                      if u.swapaxes(0, k).flags.c_contiguous), 0)
+            u = u.swapaxes(0, k) if k else np.ascontiguousarray(u)
+        # u is C-ordered, with the pencils running down index k: viewed as
+        # (p, m, q), consecutive nodes of a pencil lie q elements apart.
+        q = u.strides[k] // u.itemsize
+        flat = u.ravel()
+        # One pass of differences at distance q; those that straddle two
+        # pencils, and the last q, are never read.
+        du = np.empty(flat.size)
+        np.subtract(flat[q:], flat[:-q], out=du[:-q], dtype=float)
+        du = du.reshape(-1, m, q)
+        out = np.empty((2,) + u.shape)
+        work = out.reshape(2, -1, m, q)
+        # one product per row block: for a batch of rows (q = 1), the
+        # pencils are rows of du and the block multiplies from the right
+        rowwise = q == 1 and len(du) > 1
+        for rows, cols, block in self._blocks:
+            if rowwise:
+                np.matmul(du[:, cols, 0], block[:, 0].swapaxes(1, 2),
+                          out=work[:, :, rows, 0])
+            else:
+                np.matmul(block, du[:, cols], out=work[:, :, rows])
+        if k:
+            out = out.swapaxes(1, k + 1)
+        return DerivativePair(first=out[0], second=out[1])
 
 
 _CACHE: dict[tuple[int, float], CcdFactorization] = {}

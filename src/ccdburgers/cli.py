@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .exact import EXAMPLES
 from .grid import GridAxis
-from .model import InstabilityError, linf_errors, run
+from .model import InstabilityError, _step_count, linf_errors, run
 from .reference_data import TABLE1_ROWS
 from . import audit as audit_mod
 
@@ -174,6 +174,11 @@ def cmd_solve(args) -> int:
                     spec.final_time)
     outdir = _outdir(opts)
 
+    # say how long the march is before it starts
+    n_steps = _step_count(spec.final_time, dt)
+    if n_steps:
+        print(f"marching {n_steps} steps of dt={dt:.6g} to "
+              f"t={spec.final_time:.6g}", file=sys.stderr)
     start = time.perf_counter()
     result = run(spec, resolution, dt)
     wall = time.perf_counter() - start

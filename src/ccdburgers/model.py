@@ -1,9 +1,10 @@
 """Semi-discrete multidimensional Burgers' right-hand side and time loop.
 
 The velocity components live on a tensor grid; spatial derivatives come
-from per-pencil compact-difference solves along each coordinate direction
-and the nonlinear advection terms are formed pointwise, so the whole
-right-hand side is explicit.
+from the compact-difference operator, a fixed matrix applied to the first
+differences along each coordinate direction in the field's own memory
+layout, and the nonlinear advection terms are formed pointwise, so the
+whole right-hand side is explicit.
 """
 
 from __future__ import annotations
@@ -96,10 +97,11 @@ def directional_derivatives(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Differentiate every pencil of ``f`` along ``axis_index``.
 
-    ``f`` is handed to the operator as a view with that axis first, so no
-    axis is copied into pencil order.  Returns first- and second-derivative
-    fields with the shape of ``f``, as views of new arrays that the caller
-    may overwrite.
+    ``f`` is handed to the operator as a view with that axis first, which
+    the operator reads in ``f``'s own memory layout, so no axis is copied
+    into pencil order.  Returns first- and second-derivative fields with the
+    shape of ``f``, new arrays that the caller may overwrite; they are
+    C-ordered when ``f`` is.
     """
     pair = fact.apply(f.swapaxes(0, axis_index))
     return pair.first.swapaxes(0, axis_index), pair.second.swapaxes(0, axis_index)

@@ -282,6 +282,27 @@ def test_apply_rejects_a_scalar():
         fact.apply(np.float64(1.0))
 
 
+def test_apply_accepts_integer_and_boolean_samples(rng):
+    # differenced in floating point, so unsigned samples do not wrap
+    # around and booleans are not refused: a pencil, a batch, and a batch
+    # read as 6 rows over several row blocks
+    fact = get_factorization(GridAxis(200))
+    values = rng.integers(0, 200, (6, fact.m))
+    for batch in (values - 100, values.astype(np.uint8), values > 100):
+        for samples in (batch[0], batch.T.copy(), batch.T):
+            got, want = fact.apply(samples), fact.apply(samples.astype(float))
+            np.testing.assert_array_equal(got.first, want.first)
+            np.testing.assert_array_equal(got.second, want.second)
+
+
+def test_apply_on_empty_batches():
+    fact = get_factorization(GridAxis(8))
+    for samples in (np.empty((9, 0)), np.empty((9, 0, 3)),
+                    np.empty((3, 0, 9)).swapaxes(0, 2)):
+        pair = fact.apply(samples)
+        assert pair.first.shape == pair.second.shape == samples.shape
+
+
 def test_factorization_cache_shared():
     a = get_factorization(GridAxis(24, 0.0, 1.0))
     b = get_factorization(GridAxis(24, 0.0, 1.0))

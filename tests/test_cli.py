@@ -206,6 +206,23 @@ def test_solve_past_example3_singularity_is_config_error(tmp_path, monkeypatch,
     assert not (outdir / "run_manifest.json").exists()
 
 
+def test_solve_prints_step_count_before_marching(tmp_path, monkeypatch,
+                                                capsys):
+    # 1e10 steps: the line comes before the march, which is stubbed out
+    class Marching(Exception):
+        pass
+
+    def no_run(*args, **kwargs):
+        raise Marching
+
+    monkeypatch.setattr(cli, "run", no_run)
+    with pytest.raises(Marching):
+        cli.main(["solve", "--example", "1", "--m", "8", "--dt", "1e-300",
+                  "--final-time", "1e-290", "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert err == "marching 10000000000 steps of dt=1e-300 to t=1e-290\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_instability_exit_code(tmp_path):
     rc = cli.main([

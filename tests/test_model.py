@@ -80,9 +80,9 @@ def test_directional_derivative_separable_polynomial():
 
 
 def test_directional_derivatives_match_apply_on_pencil_order_copy(rng):
-    # along axis 1, 9 * 5 = 45 pencils of 65 nodes take the banded solve;
-    # along axes 0 and 2 the 325 and 585 pencils take the block-banded
-    # operator.  The strided view gives the same bits as the copy.
+    # axis 0 is read as given, axis 1 as 9 groups of 5 pencils, and axis 2
+    # as 585 rows; with these short axes the products give the same bits as
+    # on the copy
     f = rng.standard_normal((9, 65, 5))
     for axis in range(3):
         fact = get_factorization(GridAxis(f.shape[axis] - 1))
@@ -91,6 +91,23 @@ def test_directional_derivatives_match_apply_on_pencil_order_copy(rng):
         np.testing.assert_array_equal(first, pair.first.swapaxes(0, axis))
         np.testing.assert_array_equal(second, pair.second.swapaxes(0, axis))
         assert first.shape == second.shape == f.shape
+
+
+def test_directional_derivatives_are_c_ordered(rng):
+    # every axis of a C-ordered field is differentiated in the field's own
+    # layout and comes back C-ordered; 201 nodes along a last axis take
+    # several row blocks, each multiplying a batch of rows from the right
+    for shape in ((9, 65, 5), (33, 33, 33), (7, 201)):
+        f = rng.standard_normal(shape)
+        for axis in range(len(shape)):
+            fact = get_factorization(GridAxis(shape[axis] - 1))
+            got = directional_derivatives(f, axis, fact)
+            pair = fact.apply(np.ascontiguousarray(f.swapaxes(0, axis)))
+            for field, ref in zip(got, (pair.first, pair.second)):
+                assert field.flags.c_contiguous
+                # relative to each pencil's largest derivative
+                err = np.abs(field.swapaxes(0, axis) - ref).max(axis=0)
+                assert np.all(err <= 1e-14 * np.abs(ref).max(axis=0))
 
 
 def test_directional_derivative_interior_refinement():
