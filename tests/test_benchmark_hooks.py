@@ -48,9 +48,10 @@ def test_spans_count_wide_batch_pencils():
     assert calls["model.burgers_rhs"] == 6
     assert applies == 4 * calls["model.burgers_rhs"]
     assert tracer.pencils == 9 * applies
-    # the initial-data check and one imposition per step, each evaluating
-    # boundary_fn once on each of the 4 faces
-    assert calls["model.set_boundary"] == 3
+    # one imposition per step; the initial-data check reads the faces
+    # without the setter.  Each of the three evaluates boundary_fn once on
+    # each of the 4 faces.
+    assert calls["model.set_boundary"] == 2
     assert calls["spec.boundary_fn"] == 12
     # the span of get_factorization, which builds the operator, handed
     # both axes the factorization that holds it

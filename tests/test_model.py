@@ -1,5 +1,7 @@
 """Semi-discrete Burgers' right-hand side and the time-marching driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,7 +280,7 @@ def test_set_boundary_writes_in_place():
     # a 3D grid with a different node count on each axis
     spec = example4_spec()
     axes = spec.axes([4, 5, 6])
-    set_boundary = model._boundary_setter(spec, axes)
+    set_boundary = model._boundary_setter(spec, model._boundary_faces(axes))
     rng = np.random.default_rng(0)
     comps = tuple(rng.standard_normal((5, 6, 7)) for _ in range(3))
     before = tuple(c.copy() for c in comps)
@@ -369,6 +371,84 @@ def test_initial_boundary_mismatch_rejected():
     )
     with pytest.raises(ValueError, match="boundary"):
         run(nan_boundary, [8], 0.125)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_interior_initial_data_rejected(bad):
+    # one bad node off every face, where the face comparison never looks:
+    # x = 0.5 in 1D, (0.5, 0.25) in the second component in 2D
+    line = ProblemSpec(
+        dimension=1, domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
+        initial_fn=lambda x: (np.where(x == 0.5, bad, 0.0),),
+        boundary_fn=lambda x, t: (np.zeros_like(x),),
+    )
+    plane = ProblemSpec(
+        dimension=2, domain=((0.0, 1.0),) * 2, inv_re=0.1, final_time=1.0,
+        initial_fn=lambda x, y: (
+            0 * x + 0 * y, np.where((x == 0.5) & (y == 0.25), bad, 0.0)),
+        boundary_fn=lambda x, y, t: (0 * x + 0 * y, 0 * x + 0 * y),
+    )
+    for spec, resolution in ((line, [8]), (plane, [8, 8])):
+        with pytest.raises(ValueError, match="finite"):
+            run(spec, resolution, 0.125)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("end", [0.0, 1.0])
+def test_mismatch_inside_one_face_rejected(axis, end):
+    # the boundary data differs from zero initial data only at the centre
+    # of one face of the unit cube, a node that no other face holds
+    def initial(x, y, z):
+        zero = 0 * x + 0 * y + 0 * z
+        return zero, zero, zero
+
+    def boundary(x, y, z, t):
+        coords = (x, y, z)
+        centre = coords[axis] == end
+        for other in {0, 1, 2} - {axis}:
+            centre = centre & (coords[other] == 0.5)
+        zero = 0 * x + 0 * y + 0 * z
+        return zero, np.where(centre, 1e-9, 0.0), zero
+
+    spec = ProblemSpec(
+        dimension=3, domain=((0.0, 1.0),) * 3, inv_re=0.1, final_time=1.0,
+        initial_fn=initial, boundary_fn=boundary,
+    )
+    with pytest.raises(ValueError, match=r"max deviation 1\.000e-09"):
+        run(spec, [4, 4, 4], 0.125)
+
+
+def test_initial_boundary_check_reads_faces_only():
+    # two 513^2 components: one float copy of either is 2.1 MB, while the
+    # faces and the finiteness pass's boolean mask stay well below 1 MiB
+    spec = example2_spec()
+    axes = spec.axes([512, 512])
+    faces = model._boundary_faces(axes)
+    initial = sample_components(spec.initial_fn, axes)
+    tracemalloc.start()
+    try:
+        model._validate_initial_boundary(initial, spec, faces)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_linf_errors_match_the_sampled_exact_solution():
+    # the exact values are compared as broadcast; the errors are bitwise
+    # those against full copies of them
+    for spec, resolution, dt in (
+        (example2_spec(final_time=0.01), [8, 16], 0.002),
+        (example4_spec(final_time=0.02), [4, 4, 6], 0.01),
+    ):
+        result = run(spec, resolution, dt)
+        exact = sample_components(
+            spec.exact_fn, spec.axes(resolution), result.final.time)
+        expected = tuple(
+            float(np.max(np.abs(c - e)))
+            for c, e in zip(result.final.components, exact))
+        assert linf_errors(result.final, spec, resolution) == expected
+        assert max(expected) > 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
