@@ -239,11 +239,7 @@ def audit_report() -> dict:
             "ok": reduction.ok,
         },
         "determinant": asdict(reduction.determinant),
-        "sweep": [
-            {"m": r.m, "h": r.h, "rcond": r.rcond,
-             "solve_residual": r.solve_residual, "ok": r.ok}
-            for r in sweep
-        ],
+        "sweep": [asdict(r) for r in sweep],
         "assembly_consistent": consistency,
         "ok": ok,
     }

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .exact import EXAMPLES
 from .grid import GridAxis
-from .model import InstabilityError, _step_count, linf_errors, run
+from .model import InstabilityError, _step_count, linf_errors, run, stability_guard
 from .reference_data import TABLE1_ROWS
 from . import audit as audit_mod
 
@@ -186,6 +186,7 @@ def cmd_solve(args) -> int:
     errors = None
     if spec.exact_fn is not None:
         errors = linf_errors(result.final, spec, resolution)
+    advisory = stability_guard(spec, resolution, dt)
 
     outdir.mkdir(parents=True, exist_ok=True)
     if args.dump:
@@ -200,8 +201,8 @@ def cmd_solve(args) -> int:
         "final_time": spec.final_time,
         "inv_re": spec.inv_re,
         "linf_errors": errors,
-        "stability_warning": result.advisory.warn,
-        "stability_limit": result.advisory.limit,
+        "stability_warning": advisory.warn,
+        "stability_limit": advisory.limit,
         "wall_time_s": wall,
     }
     _manifest(outdir / "run_manifest.json", summary)
@@ -209,8 +210,8 @@ def cmd_solve(args) -> int:
         names = "uvw"[: spec.dimension]
         for name, err in zip(names, errors):
             print(f"e_{name} = {_fmt(err)}")
-    if result.advisory.warn:
-        print(f"warning: {result.advisory.message}", file=sys.stderr)
+    if advisory.warn:
+        print(f"warning: {advisory.message}", file=sys.stderr)
     print(f"wrote {outdir / 'run_manifest.json'}")
     return EXIT_OK
 
@@ -352,28 +353,25 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", help="output directory (default: .)")
 
-    solve = sub.add_parser("solve", parents=[common],
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--example", help="benchmark problem id (1-4)")
+    problem.add_argument("--dt", help="time step or the rule 'h2'")
+    problem.add_argument("--final-time", dest="final_time")
+    problem.add_argument("--inv-re", dest="inv_re")
+    problem.add_argument("--variant", choices=("corrected", "as-printed"),
+                         help="exact-solution variant for example 4")
+
+    solve = sub.add_parser("solve", parents=[common, problem],
                            help="run one problem and report errors")
-    solve.add_argument("--example", help="benchmark problem id (1-4)")
     solve.add_argument("--m", help="cells per axis, scalar or comma list")
-    solve.add_argument("--dt", help="time step or the rule 'h2'")
-    solve.add_argument("--final-time", dest="final_time")
-    solve.add_argument("--inv-re", dest="inv_re")
-    solve.add_argument("--variant", choices=("corrected", "as-printed"),
-                       help="exact-solution variant for example 4")
     solve.add_argument("--dump", action="store_true",
                        help="also write a raw binary grid dump")
     solve.set_defaults(fn=cmd_solve)
 
-    conv = sub.add_parser("converge", parents=[common],
+    conv = sub.add_parser("converge", parents=[common, problem],
                           help="grid-refinement convergence study")
-    conv.add_argument("--example", help="benchmark problem id (1-4)")
     conv.add_argument("--m-list", dest="m_list",
                       help="comma-separated increasing cell counts")
-    conv.add_argument("--dt", help="time step or the rule 'h2'")
-    conv.add_argument("--final-time", dest="final_time")
-    conv.add_argument("--inv-re", dest="inv_re")
-    conv.add_argument("--variant", choices=("corrected", "as-printed"))
     conv.set_defaults(fn=cmd_converge)
 
     tab = sub.add_parser("table1", parents=[common],

@@ -171,7 +171,6 @@ def example1_spec(
         return (example1_exact(x, t, coeffs),)
 
     return ProblemSpec(
-        dimension=1,
         domain=((0.0, 1.0),),
         inv_re=inv_re,
         final_time=final_time,
@@ -187,7 +186,6 @@ def example2_spec(inv_re: float = 0.1, final_time: float = 1.0) -> ProblemSpec:
         return example2_exact(x, y, t, inv_re)
 
     return ProblemSpec(
-        dimension=2,
         domain=((0.0, 1.0), (0.0, 1.0)),
         inv_re=inv_re,
         final_time=final_time,
@@ -205,7 +203,6 @@ def example3_spec(inv_re: float = 0.1, final_time: float = 0.1) -> ProblemSpec:
             f"below {SINGULAR_TIME_3:.6g}, got {final_time}"
         )
     return ProblemSpec(
-        dimension=2,
         domain=((0.0, 0.5), (0.0, 0.5)),
         inv_re=inv_re,
         final_time=final_time,
@@ -225,7 +222,6 @@ def example4_spec(
         return example4_exact(x, y, z, t, variant=variant)
 
     return ProblemSpec(
-        dimension=3,
         domain=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
         inv_re=inv_re,
         final_time=final_time,

@@ -41,10 +41,10 @@ class ProblemSpec:
     ``initial_fn(*coords)`` and ``boundary_fn(*coords, t)`` return one array
     per velocity component, broadcasting over the coordinate arrays.
     ``exact_fn`` has the boundary signature and is optional; when present it
-    is used for error measurement and the PDE-residual oracle gate.
+    is used for error measurement and the PDE-residual oracle gate.  The
+    problem's dimension is the number of (left, right) pairs in ``domain``.
     """
 
-    dimension: int
     domain: tuple[tuple[float, float], ...]
     inv_re: float
     final_time: float
@@ -56,13 +56,15 @@ class ProblemSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        if len(self.domain) != self.dimension:
-            raise ValueError("one (left, right) pair per dimension required")
         if not 0 < self.inv_re < np.inf:
             raise ValueError(f"inv_re must be positive and finite, got {self.inv_re}")
         if not 0 <= self.final_time < np.inf:
             raise ValueError(
                 f"final_time must be nonnegative and finite, got {self.final_time}")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.domain)
 
     def axes(self, resolution: Sequence[int]) -> tuple[GridAxis, ...]:
         if len(resolution) != self.dimension:
@@ -112,28 +114,25 @@ def burgers_rhs(
     facts: Sequence[CcdFactorization],
     inv_re: float,
     out: tuple[np.ndarray, ...] | None = None,
-    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Evaluate -(u.grad)c + inv_re * laplacian(c) for every component c.
 
     The result is written into ``out``, one array per component, and
-    returned; ``scratch``, one array of the grid's shape, holds an advection
-    term in two and three dimensions.  Either is allocated here when not
-    given.  Neither may overlap the state.
+    returned; it is allocated here when not given, and may not overlap the
+    state.
     """
     comps = state.components
     if out is None:
         out = tuple(np.empty_like(c, dtype=float) for c in comps)
-    if scratch is None:
-        scratch = np.empty_like(comps[0], dtype=float)
     for comp, advection in zip(comps, out):
-        # the new second-derivative field of axis 0 accumulates the Laplacian
+        # the new derivative fields hold the advection terms of axes 1 and
+        # up, and the second derivative of axis 0 accumulates the Laplacian
         first, diffusion = directional_derivatives(comp, 0, facts[0])
         np.multiply(comps[0], first, out=advection)
         for axis in range(1, len(comps)):
             first, second = directional_derivatives(comp, axis, facts[axis])
-            np.multiply(comps[axis], first, out=scratch)
-            advection += scratch
+            first *= comps[axis]
+            advection += first
             diffusion += second
         diffusion *= inv_re
         np.subtract(diffusion, advection, out=advection)
@@ -167,6 +166,7 @@ def stability_guard(
 
 
 def _step_count(final_time: float, dt: float) -> int:
+    """Steps of dt to reach final_time, to 1e-12 relative: the one lattice rule."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if final_time == 0:
@@ -212,22 +212,29 @@ def _boundary_setter(spec: ProblemSpec, faces):
 
 
 def _validate_initial_boundary(initial, spec: ProblemSpec, faces):
-    """Refuse non-finite initial data, then initial data that differs from
-    the boundary data at t=0 by more than 1e-12 on any of ``faces``.
+    """Refuse initial or t=0 boundary data without one component per axis,
+    non-finite initial data, and initial data that differs from the
+    boundary data at t=0 by more than 1e-12 on any of ``faces``.
 
     Only the faces are compared, as only they are imposed; the finiteness
     pass reads every node without a float copy.
     """
+    d = spec.dimension
+    if len(initial) != d:
+        raise ValueError(f"initial data has {len(initial)} components, not {d}")
     if not all(np.isfinite(c).all() for c in initial):
         raise ValueError("initial data must be finite")
     # non-finite boundary data makes its deviation NaN or inf, which fails
     # the test below
-    deviations = [
-        float(np.max(np.abs(comp[sel] - val)))
-        for face, sel in faces
-        for comp, val in zip(initial, spec.boundary_fn(*face, 0.0))
-    ]
-    if all(d <= 1e-12 for d in deviations):
+    deviations = []
+    for face, sel in faces:
+        values = tuple(spec.boundary_fn(*face, 0.0))
+        if len(values) != d:
+            raise ValueError(
+                f"boundary data at t=0 has {len(values)} components, not {d}")
+        deviations += [float(np.max(np.abs(comp[sel] - val)))
+                       for comp, val in zip(initial, values)]
+    if all(dev <= 1e-12 for dev in deviations):
         return
     raise ValueError(
         "initial and boundary data disagree on the domain boundary at "
@@ -240,7 +247,6 @@ class RunResult:
     final: FieldSet
     snapshots: dict[float, FieldSet] = field(default_factory=dict)
     steps: int = 0
-    advisory: StabilityAdvisory | None = None
 
 
 def run(
@@ -262,28 +268,29 @@ def run(
 
     snapshot_steps: dict[int, float] = {}
     for t_snap in snapshot_times:
-        k = round(t_snap / dt)
-        if abs(k * dt - t_snap) > 1e-9:
-            raise ValueError(f"snapshot time {t_snap} is not a step multiple of dt")
+        try:
+            k = _step_count(t_snap, dt)
+        except (ValueError, OverflowError):
+            k = -1
         if not 0 <= k <= n_steps:
             raise ValueError(
-                f"snapshot time {t_snap} lies outside [0, {spec.final_time}]"
+                f"snapshot time {t_snap!r} is not a step of dt={dt!r} "
+                f"in [0, {spec.final_time}]"
             )
         snapshot_steps[k] = t_snap
 
-    advisory = stability_guard(spec, resolution, dt)
     # Setup allocates every array the time loop writes, as get_factorization
-    # above built each axis's operator.  The right-hand side, the middle
-    # stage and the advection scratch share one allocation.  As separate
-    # arrays on 32^3 cells they made the allocator return and refetch memory
-    # every step: 1654 minor page faults per step instead of 72.
+    # above built each axis's operator.  The right-hand side and the middle
+    # stage share one allocation.  As separate arrays on 32^3 cells they
+    # made the allocator return and refetch memory every step: 1654 minor
+    # page faults per step instead of 72.
     d = spec.dimension
-    work = np.empty((2 * d + 1,) + initial[0].shape)
-    rhs_out, stage, scratch = tuple(work[:d]), tuple(work[d:-1]), work[-1]
+    work = np.empty((2 * d,) + initial[0].shape)
+    rhs_out, stage = tuple(work[:d]), tuple(work[d:])
     spare = tuple(np.empty_like(c) for c in initial)
-    rhs = lambda s: burgers_rhs(s, facts, spec.inv_re, rhs_out, scratch)
+    rhs = lambda s: burgers_rhs(s, facts, spec.inv_re, rhs_out)
 
-    result = RunResult(final=state, advisory=advisory)
+    result = RunResult(final=state)
     if 0 in snapshot_steps:
         result.snapshots[snapshot_steps[0]] = _copy(state)
 

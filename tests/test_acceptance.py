@@ -317,7 +317,6 @@ def test_criterion_8_dimension_degeneracy():
         return (u + zero, v + zero, zero)
 
     spec3 = ProblemSpec(
-        dimension=3,
         domain=spec2.domain + (spec2.domain[0],),
         inv_re=spec2.inv_re,
         final_time=spec2.final_time,

@@ -223,6 +223,24 @@ def test_solve_prints_step_count_before_marching(tmp_path, monkeypatch,
     assert err == "marching 10000000000 steps of dt=1e-300 to t=1e-290\n"
 
 
+@pytest.mark.parametrize("dt, warn", [(0.025, False), (0.05, True)])
+def test_solve_reports_the_stability_advisory(tmp_path, capsys, dt, warn):
+    # example 2 on 8 x 8 cells: the heuristic limit h^2/(2*d*inv_re) is
+    # 0.0390625, between the two steps
+    rc = cli.main(["solve", "--example", "2", "--m", "8", "--dt", str(dt),
+                   "--final-time", "0.05", "--outdir", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["stability_limit"] == pytest.approx(0.125**2 / (2 * 2 * 0.1))
+    assert manifest["stability_warning"] is warn
+    err = capsys.readouterr().err
+    steps = round(0.05 / dt)
+    expected = f"marching {steps} steps of dt={dt:.6g} to t=0.05\n"
+    if warn:
+        expected += f"warning: dt={dt} exceeds heuristic diffusive limit 0.03906\n"
+    assert err == expected
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_instability_exit_code(tmp_path):
     rc = cli.main([

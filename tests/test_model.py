@@ -37,7 +37,6 @@ def _const_spec(value=0.75, dimension=2):
         return initial(*coords_t[:-1])
 
     return ProblemSpec(
-        dimension=dimension,
         domain=((0.0, 1.0),) * dimension,
         inv_re=0.1,
         final_time=0.5,
@@ -189,6 +188,26 @@ def test_rhs_3d_z_constant_matches_2d_slices():
     assert np.max(np.abs(out3[2])) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(17,), (9, 13), (9, 7, 11)])
+def test_rhs_leaves_state_alone_and_repeats_into_out(shape, rng):
+    # the advection terms are formed in the operator's new derivative
+    # arrays, never in the state; a second call into the same out arrays
+    # gives the same bits
+    facts = tuple(get_factorization(GridAxis(n - 1)) for n in shape)
+    comps = tuple(rng.standard_normal(shape) for _ in shape)
+    before = tuple(c.copy() for c in comps)
+    state = FieldSet(components=comps, time=0.0)
+    out = tuple(np.empty(shape) for _ in shape)
+    first = tuple(c.copy() for c in burgers_rhs(state, facts, 0.1, out))
+    again = burgers_rhs(state, facts, 0.1, out)
+    assert all(a is b for a, b in zip(again, out))
+    for comp, old, a, b in zip(comps, before, first, again):
+        assert np.array_equal(comp, old)
+        assert np.array_equal(a, b)
+    for a, b in zip(again, burgers_rhs(state, facts, 0.1)):
+        assert np.array_equal(a, b)
+
+
 # --- stability advisory -----------------------------------------------------
 
 def test_stability_guard_2d_no_warning():
@@ -201,7 +220,7 @@ def test_stability_guard_2d_no_warning():
 
 def test_stability_guard_1d_fine_step():
     spec = ProblemSpec(
-        dimension=1, domain=((0.0, 1.0),), inv_re=1.0, final_time=1.0,
+        domain=((0.0, 1.0),), inv_re=1.0, final_time=1.0,
         initial_fn=lambda x: (np.zeros_like(x),),
         boundary_fn=lambda x, t: (np.zeros_like(x),),
     )
@@ -212,7 +231,7 @@ def test_stability_guard_1d_fine_step():
 
 def test_stability_guard_3d_warning():
     spec = ProblemSpec(
-        dimension=3, domain=((0.0, 1.0),) * 3, inv_re=1.0, final_time=1.0,
+        domain=((0.0, 1.0),) * 3, inv_re=1.0, final_time=1.0,
         initial_fn=lambda x, y, z: (np.zeros_like(x + y + z),) * 3,
         boundary_fn=lambda x, y, z, t: (np.zeros_like(x + y + z),) * 3,
     )
@@ -313,6 +332,11 @@ def test_snapshot_times_must_land_on_steps():
     for t_snap in (0.0123, 0.2, -0.05):
         with pytest.raises(ValueError):
             run(example3_spec(), [8, 8], 0.1 / 32, snapshot_times=(0.05, t_snap))
+    # 0.4 steps off the lattice, which the final time's rule of 1e-12
+    # relative refuses
+    with pytest.raises(ValueError):
+        run(example3_spec(final_time=1e-6), [8, 8], 1e-9,
+            snapshot_times=(5.004e-7,))
 
 
 def test_snapshots_are_recorded():
@@ -342,7 +366,7 @@ def test_snapshots_are_recorded():
 
 def test_initial_boundary_mismatch_rejected():
     spec = ProblemSpec(
-        dimension=1, domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
+        domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
         initial_fn=lambda x: (np.ones_like(x),),
         boundary_fn=lambda x, t: (np.zeros_like(x),),
     )
@@ -351,12 +375,12 @@ def test_initial_boundary_mismatch_rejected():
     # NaN initial data: at x = 1 in 1D, and in the second of two components
     # in 2D
     nan_at_right = ProblemSpec(
-        dimension=1, domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
+        domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
         initial_fn=lambda x: (np.where(x == 1.0, np.nan, 0.0),),
         boundary_fn=lambda x, t: (np.zeros_like(x),),
     )
     nan_in_v = ProblemSpec(
-        dimension=2, domain=((0.0, 1.0),) * 2, inv_re=0.1, final_time=1.0,
+        domain=((0.0, 1.0),) * 2, inv_re=0.1, final_time=1.0,
         initial_fn=lambda x, y: (0 * x + 0 * y, np.nan + 0 * x + 0 * y),
         boundary_fn=lambda x, y, t: (0 * x + 0 * y, 0 * x + 0 * y),
     )
@@ -365,7 +389,7 @@ def test_initial_boundary_mismatch_rejected():
             run(bad, resolution, 0.125)
     # finite initial data against NaN boundary data
     nan_boundary = ProblemSpec(
-        dimension=1, domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
+        domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
         initial_fn=lambda x: (np.zeros_like(x),),
         boundary_fn=lambda x, t: (np.full_like(x, np.nan),),
     )
@@ -378,12 +402,12 @@ def test_nonfinite_interior_initial_data_rejected(bad):
     # one bad node off every face, where the face comparison never looks:
     # x = 0.5 in 1D, (0.5, 0.25) in the second component in 2D
     line = ProblemSpec(
-        dimension=1, domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
+        domain=((0.0, 1.0),), inv_re=0.1, final_time=1.0,
         initial_fn=lambda x: (np.where(x == 0.5, bad, 0.0),),
         boundary_fn=lambda x, t: (np.zeros_like(x),),
     )
     plane = ProblemSpec(
-        dimension=2, domain=((0.0, 1.0),) * 2, inv_re=0.1, final_time=1.0,
+        domain=((0.0, 1.0),) * 2, inv_re=0.1, final_time=1.0,
         initial_fn=lambda x, y: (
             0 * x + 0 * y, np.where((x == 0.5) & (y == 0.25), bad, 0.0)),
         boundary_fn=lambda x, y, t: (0 * x + 0 * y, 0 * x + 0 * y),
@@ -411,7 +435,7 @@ def test_mismatch_inside_one_face_rejected(axis, end):
         return zero, np.where(centre, 1e-9, 0.0), zero
 
     spec = ProblemSpec(
-        dimension=3, domain=((0.0, 1.0),) * 3, inv_re=0.1, final_time=1.0,
+        domain=((0.0, 1.0),) * 3, inv_re=0.1, final_time=1.0,
         initial_fn=initial, boundary_fn=boundary,
     )
     with pytest.raises(ValueError, match=r"max deviation 1\.000e-09"):
@@ -451,6 +475,41 @@ def test_linf_errors_match_the_sampled_exact_solution():
         assert max(expected) > 0
 
 
+@pytest.mark.parametrize("n_initial, n_boundary", [(1, 1), (3, 3), (2, 1), (2, 3)])
+def test_component_count_must_match_dimension(n_initial, n_boundary):
+    # one component per dimension, in the initial data and in the boundary
+    # data at t = 0; zip would silently drop the missing physics or the
+    # extra component
+    def initial(x, y):
+        return tuple(0 * x + 0 * y for _ in range(n_initial))
+
+    def boundary(x, y, t):
+        return tuple(0 * x + 0 * y for _ in range(n_boundary))
+
+    spec = ProblemSpec(
+        domain=((0.0, 1.0),) * 2, inv_re=0.1, final_time=0.25,
+        initial_fn=initial, boundary_fn=boundary,
+    )
+    what = "initial" if n_initial != 2 else "boundary"
+    with pytest.raises(ValueError, match=f"{what} data.* components, not 2"):
+        run(spec, [8, 8], 0.125)
+
+
+def test_dimension_is_the_domain_length():
+    for d in (1, 2, 3):
+        spec = ProblemSpec(
+            domain=((0.0, 1.0),) * d, inv_re=0.1, final_time=1.0,
+            initial_fn=lambda *a: (), boundary_fn=lambda *a: (),
+        )
+        assert spec.dimension == d
+    # four axes are refused in test_spec_validation
+    with pytest.raises(ValueError, match="dimension must be 1, 2 or 3, got 0"):
+        ProblemSpec(
+            domain=(), inv_re=0.1, final_time=1.0,
+            initial_fn=lambda *a: (), boundary_fn=lambda *a: (),
+        )
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_instability_reported_with_step():
     spec = example2_spec()
@@ -467,13 +526,13 @@ def test_instability_reported_with_step():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(
-            dimension=4, domain=((0.0, 1.0),) * 4, inv_re=0.1, final_time=1.0,
+            domain=((0.0, 1.0),) * 4, inv_re=0.1, final_time=1.0,
             initial_fn=lambda *a: (), boundary_fn=lambda *a: (),
         )
     for inv_re, final_time in ((-1.0, 1.0), (np.inf, 1.0), (0.1, np.inf)):
         with pytest.raises(ValueError):
             ProblemSpec(
-                dimension=1, domain=((0.0, 1.0),), inv_re=inv_re,
+                domain=((0.0, 1.0),), inv_re=inv_re,
                 final_time=final_time,
                 initial_fn=lambda x: (x,), boundary_fn=lambda x, t: (x,),
             )
