@@ -3,10 +3,11 @@
 Reproduces, in floating point, the determinant-reduction pipeline that
 exhibits a strictly diagonally dominant 10x10 matrix, checking the
 block-determinant step it rests on, and sweeps node counts and spacings for
-well-conditioning of the assembled system.  The
-elementary-transformation multipliers are taken verbatim from the published
-radical expressions, so the audit fails if those printed constants were
-wrong rather than silently recomputing them.
+well-conditioning of the system, transcribed independently and checked
+against the operator's own A.  The elementary-transformation multipliers
+are taken verbatim from the published radical expressions, so the audit
+fails if those printed constants were wrong rather than silently
+recomputing them.
 """
 
 from __future__ import annotations
@@ -219,8 +220,9 @@ def nonsingularity_sweep(
 
 
 def cross_module_consistency(m: int, h: float) -> bool:
-    """The audit's semi-circulant transcription of A and the operator's band
-    must agree exactly."""
+    """The audit's semi-circulant transcription of A and the operator's own
+    A, the dense interleaved system permuted to block order, must agree
+    exactly."""
     axis = GridAxis(n_cells=m - 1, left=0.0, right=(m - 1) * h)
     A, _ = dense_matrices(axis)
     return bool(np.array_equal(A, assemble_full_ccd_matrix(m, h)))

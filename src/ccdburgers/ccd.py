@@ -24,7 +24,9 @@ only a band of half-width ``_HALF_WIDTH`` differences is kept, in row blocks.
 E is built once per axis, along one of two routes:
 
 * an axis of fewer than ``_APART`` nodes, whose two ends still interact,
-  solves the banded system for it (``_difference_operator``);
+  solves the dense system, in the interleaved order of ``_system``, for
+  half of E and reflects that half into the other
+  (``_difference_operator``);
 * a longer axis is sliced from pieces of one 129-node operator at h = 1,
   built at import: the Toeplitz band of its interior rows, plus the
   correction in the corner at the left end, plus that corner mirrored to
@@ -37,13 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .grid import GridAxis
-
-# Half bandwidths of the interleaved (u'_0, u''_0, u'_1, u''_1, ...) matrix.
-_KL = 3
-_KU = 3
 
 # x_i = z^i v solves the homogeneous interior equations exactly when
 # 1 + 20z + 48z^2 + 20z^3 + z^4 = 0, the determinant of their 2x2 symbol (the
@@ -69,6 +66,9 @@ _APART = 1 + math.ceil(math.log(_TAIL) / math.log(_DECAY))
 # bottom corner block.
 _BLOCK = 64
 _ONE_BLOCK = 2 * _BLOCK + 1
+# Reversing an axis maps E_1 to itself and E_2 to -E_2: E_k[i, j] is
+# _REFLECTION[k] E_k[m - 1 - i, m - 2 - j].
+_REFLECTION = np.array([[[1.0]], [[-1.0]]])
 
 
 @dataclass(frozen=True)
@@ -79,93 +79,70 @@ class DerivativePair:
     second: np.ndarray
 
 
-def _band(axis: GridAxis) -> np.ndarray:
-    """LAPACK band storage (kl = ku = 3) of the coefficient matrix A, with the
-    unknowns interleaved as (u'_0, u''_0, u'_1, u''_1, ...) and equation 2i
-    (2i+1) the first- (second-) derivative relation at node i.
-
-    The right-hand sides ``B u`` of the same equations are formed from
-    first differences by ``_build_rhs``.
+def _system(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
+    """The CCD equations A x = B~ du, dense, with the unknowns interleaved as
+    x = (u'_0, u''_0, u'_1, u''_1, ...), equation 2i (2i+1) the first-
+    (second-) derivative relation at node i, and du = u[1:] - u[:-1] the
+    first differences: A is 2m x 2m and B~ is 2m x (m - 1).  Each array is
+    filled in one pass, all interior nodes by one strided write per relation.
     """
     m = axis.n_nodes
     h = axis.spacing
     n = 2 * m
-    ab = np.zeros((2 * _KL + _KU + 1, n))
-
-    # (relation, unknown, neighbour offset) -> interior coefficient
-    interior = {
-        (0, 0, -1): 7 / 16, (0, 0, 0): 1.0, (0, 0, 1): 7 / 16,
-        (0, 1, -1): h / 16, (0, 1, 1): -h / 16,
-        (1, 0, -1): -9 / (8 * h), (1, 0, 1): 9 / (8 * h),
-        (1, 1, -1): -1 / 8, (1, 1, 0): 1.0, (1, 1, 1): -1 / 8,
-    }
-    for (rel, unk, off), value in interior.items():
-        first = 2 * (1 + off) + unk  # column of node 1's neighbour
-        ab[_KL + _KU + rel - unk - 2 * off, first:first + 2 * (m - 2):2] = value
-
+    a = np.zeros((n, n))
+    bt = np.zeros((n, m - 1))
+    # Interior node i = 1 .. m - 2: each row of ``rows`` starts at entry
+    # (2i, 2i - 2) of A, so its first relation lies on the columns of
+    # (u'_{i-1}, u''_{i-1}, u'_i, u''_i, u'_{i+1}, u''_{i+1}), and its second
+    # relation n entries on; likewise from entry (2i, i - 1) of B~.
+    rows = a.reshape(-1)[2 * n:2 * n + (m - 2) * (2 * n + 2)].reshape(m - 2, -1)
+    rows[:, :6] = (7 / 16, h / 16, 1.0, 0.0, 7 / 16, -h / 16)
+    rows[:, n:n + 6] = (-9 / (8 * h), -1 / 8, 0.0, 1.0, 9 / (8 * h), -1 / 8)
+    rows = bt.reshape(-1)[2 * m - 2:2 * m - 2 + (m - 2) * (2 * m - 1)].reshape(
+        m - 2, -1)
+    rows[:, :2] = 15 / (16 * h)
+    rows[:, m - 1:m + 1] = (-3 / h**2, 3 / h**2)
     # The one-sided closure at the left node, the extra boundary relation
     # that completes the square system, and their mirror images.
-    closures = (
-        (0, ((0, 14.0), (2, 16.0), (1, 2 * h), (3, -4 * h))),
-        (1, ((0, 1.0), (2, 2.0), (3, -h))),
-        (n - 2, ((n - 2, 14.0), (n - 4, 16.0), (n - 1, -2 * h), (n - 3, 4 * h))),
-        (n - 1, ((n - 2, 1.0), (n - 4, 2.0), (n - 3, h))),
-    )
-    for row, entries in closures:
-        for col, value in entries:
-            ab[_KL + _KU + row - col, col] = value
-    return ab
-
-
-def _build_rhs(du: np.ndarray, h: float) -> np.ndarray:
-    """The right-hand side B u of the interleaved system (see ``_band``),
-    from the first differences ``du = u[1:] - u[:-1]``."""
-    m = du.shape[0] + 1
-    r = np.empty((2 * m,) + du.shape[1:])
-    r[2:2 * m - 2:2] = (15 / (16 * h)) * (du[1:] + du[:-1])
-    r[3:2 * m - 1:2] = (3 / h**2) * (du[1:] - du[:-1])
-    r[0] = (31 * du[0] - du[1]) / h
-    r[1] = (7 * du[0] - du[1]) / (2 * h)
-    r[2 * m - 2] = (31 * du[-1] - du[-2]) / h
-    r[2 * m - 1] = (7 * du[-1] - du[-2]) / (2 * h)
-    return r
+    a[:2, :4] = (14.0, 2 * h, 16.0, -4 * h), (1.0, 0.0, 2.0, -h)
+    a[-2:, -4:] = (16.0, 4 * h, 14.0, -2 * h), (2.0, h, 1.0, 0.0)
+    bt[:2, :2] = (31 / h, -1 / h), (7 / (2 * h), -1 / (2 * h))
+    bt[-2:, -2:] = (-1 / h, 31 / h), (-1 / (2 * h), 7 / (2 * h))
+    return a, bt
 
 
 def dense_matrices(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
     """Dense views ``(A, B)`` of the CCD equations ``A [u'; u''] = B u`` in
     block (non-interleaved) order, A being 2m x 2m and B 2m x m.
 
-    Both are read back from the production forms, A from ``_band`` and B
-    from ``_build_rhs`` applied to the differences of the identity, so they
-    carry no second copy of the coefficients.  For tests and the solvability
-    audit only.
+    Both come from ``_system``, A permuted to block order and B as B~ times
+    the differencing, so they carry no second copy of the coefficients.
+    For tests and the solvability audit only.
     """
+    a, bt = _system(axis)
     m = axis.n_nodes
-    n = 2 * m
-    ab = _band(axis)
-    full = np.zeros((n, n))
-    cols = np.arange(n)
-    for d in range(-_KU, _KL + 1):
-        j = cols[max(0, -d):min(n, n - d)]
-        full[j + d, j] = ab[_KL + _KU + d, j]
-    block = np.r_[0:n:2, 1:n:2]
-    rhs = _build_rhs(np.diff(np.eye(m), axis=0), axis.spacing)
-    return full[np.ix_(block, block)], rhs[block]
+    block = np.r_[0:2 * m:2, 1:2 * m:2]
+    return a[np.ix_(block, block)], (bt @ np.diff(np.eye(m), axis=0))[block]
 
 
 def _difference_operator(axis: GridAxis) -> np.ndarray:
-    """E = A^-1 B~ with shape (2, m, m - 1), where B u = B~ (u[1:] - u[:-1]),
-    from a banded LU solve: first derivatives in [0], second in [1]."""
-    rhs = _build_rhs(np.eye(axis.n_nodes - 1), axis.spacing)
-    x, info = lapack.dgbsv(_KL, _KU, _band(axis), rhs,
-                           overwrite_ab=True, overwrite_b=True)[2:]
-    if info != 0:
-        # Unreachable for valid axes: the CCD matrix is provably
-        # nonsingular (see the solvability audit).
-        raise np.linalg.LinAlgError(
-            f"banded solve of the CCD system failed (info={info})"
-        )
-    return np.stack((x[0::2], x[1::2]))
+    """E = A^-1 B~ with shape (2, m, m - 1), where B u = B~ (u[1:] - u[:-1]):
+    first derivatives in [0], second in [1].
+
+    A dense LU solve of the interleaved system gives the left half of the
+    columns, and ``_REFLECTION`` the right half.  In this order the LU
+    factors stay banded under partial pivoting, so E's small far entries
+    keep their relative accuracy; in block order they carry 1.7e-14 of
+    their row's maximum, which the check in ``_unit_pieces`` refuses.
+    """
+    m = axis.n_nodes
+    a, bt = _system(axis)
+    half = m // 2
+    x = np.linalg.solve(a, bt[:, :half])
+    e = np.empty((2, m, m - 1))
+    e[:, :, :half] = x.reshape(m, 2, half).swapaxes(0, 1)
+    np.multiply(e[:, ::-1, m - 2 - half::-1], _REFLECTION, out=e[:, :, half:])
+    return e
 
 
 def _unit_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,8 +173,7 @@ def _unit_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     line[:, cells - w:cells + w] = e[:, b, b - w:b + w]
     band = np.lib.stride_tricks.sliding_window_view(line, cols, axis=1)[:, ::-1]
     left = e[:, :b, :b] - band[:, :b, :b]
-    # reversing the axis maps E_1 to itself and E_2 to -E_2
-    right = left[:, ::-1, ::-1] * np.array([[[1.0]], [[-1.0]]])
+    right = left[:, ::-1, ::-1] * _REFLECTION
     return band, left, right
 
 

@@ -82,15 +82,30 @@ def grid_coords(axes: Sequence[GridAxis]) -> tuple[np.ndarray, ...]:
     )
 
 
+def _components(values: Sequence[np.ndarray], d: int, source: str,
+                t: float | None = None) -> tuple[np.ndarray, ...]:
+    """A callback's values as a tuple, refused with ValueError unless they
+    hold one component per axis of a d-dimensional problem: the one count
+    rule, which every callback result passes before ``zip`` pairs it with
+    a field's components (in the time loop, after a strict ``zip`` fails)."""
+    values = tuple(values)
+    if len(values) != d:
+        at = "" if t is None else f" at t={t:g}"
+        raise ValueError(f"{source}{at} has {len(values)} components, not {d}")
+    return values
+
+
 def sample_components(
     fn: Callable[..., Sequence[np.ndarray]],
     axes: Sequence[GridAxis],
     *extra,
 ) -> tuple[np.ndarray, ...]:
-    """Evaluate a component-valued callback on the full tensor grid."""
+    """Evaluate a component-valued callback on the full tensor grid: the
+    initial data ``fn(*coords)``, or data at time t, ``fn(*coords, t)``."""
     shape = tuple(ax.n_nodes for ax in axes)
-    coords = grid_coords(axes)
-    values = fn(*coords, *extra)
+    t = extra[0] if extra else None
+    values = _components(fn(*grid_coords(axes), *extra), len(axes),
+                         "initial data" if t is None else "data", t)
     return tuple(np.broadcast_to(np.asarray(v, float), shape).copy() for v in values)
 
 
@@ -204,34 +219,35 @@ def _boundary_setter(spec: ProblemSpec, faces):
         """Write the boundary values at time t into ``components`` in place
         and return the same tuple."""
         for face, sel in faces:
-            for comp, val in zip(components, spec.boundary_fn(*face, t)):
-                comp[sel] = val
+            values = spec.boundary_fn(*face, t)
+            try:
+                for comp, val in zip(components, values, strict=True):
+                    comp[sel] = val
+            except ValueError:
+                # a wrong count stops zip; the count rule names it
+                _components(values, len(components), "boundary data", t)
+                raise
         return components
 
     return set_boundary
 
 
 def _validate_initial_boundary(initial, spec: ProblemSpec, faces):
-    """Refuse initial or t=0 boundary data without one component per axis,
-    non-finite initial data, and initial data that differs from the
-    boundary data at t=0 by more than 1e-12 on any of ``faces``.
+    """Refuse non-finite initial data, boundary data at t=0 without one
+    component per axis, and initial data that differs from the boundary
+    data at t=0 by more than 1e-12 on any of ``faces``.
 
     Only the faces are compared, as only they are imposed; the finiteness
     pass reads every node without a float copy.
     """
-    d = spec.dimension
-    if len(initial) != d:
-        raise ValueError(f"initial data has {len(initial)} components, not {d}")
     if not all(np.isfinite(c).all() for c in initial):
         raise ValueError("initial data must be finite")
     # non-finite boundary data makes its deviation NaN or inf, which fails
     # the test below
     deviations = []
     for face, sel in faces:
-        values = tuple(spec.boundary_fn(*face, 0.0))
-        if len(values) != d:
-            raise ValueError(
-                f"boundary data at t=0 has {len(values)} components, not {d}")
+        values = _components(spec.boundary_fn(*face, 0.0), len(initial),
+                             "boundary data", 0.0)
         deviations += [float(np.max(np.abs(comp[sel] - val)))
                        for comp, val in zip(initial, values)]
     if all(dev <= 1e-12 for dev in deviations):
@@ -324,6 +340,7 @@ def linf_errors(
     if spec.exact_fn is None:
         raise ValueError("problem has no exact solution registered")
     exact = spec.exact_fn(*grid_coords(spec.axes(resolution)), state.time)
+    exact = _components(exact, spec.dimension, "exact solution", state.time)
     # the exact values are read as broadcast, never copied to the full grid
     return tuple(
         float(np.max(np.abs(c - np.broadcast_to(np.asarray(e, float), c.shape))))

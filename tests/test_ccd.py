@@ -328,13 +328,39 @@ def test_factorization_cache_shared():
 # --- the operator against a banded solve -----------------------------------
 
 def _banded_reference(axis, u):
-    """u' and u'' of the pencils ``u`` (one per column) from a banded solve
-    of the interleaved system, its right-hand side formed from u's first
-    differences."""
-    rhs = ccd._build_rhs(np.diff(u, axis=0), axis.spacing)
-    x, info = lapack.dgbsv(ccd._KL, ccd._KU, ccd._band(axis), rhs)[2:]
+    """u' and u'' of the pencils ``u`` (one per column) from LAPACK's banded
+    solver on the interleaved system (u'_0, u''_0, u'_1, ...), whose band
+    storage and right-hand side are built here from the dense block-order
+    views."""
+    A, B = dense_matrices(axis)
+    n = len(A)
+    interleaved = np.argsort(np.r_[0:n:2, 1:n:2])
+    A, B = A[np.ix_(interleaved, interleaved)], B[interleaved]
+    # LAPACK band storage with 3 sub- and 3 super-diagonals, and 3 more rows
+    # for the fill-in of partial pivoting: ab[6 + i - j, j] = A[i, j]
+    kl = ku = 3
+    ab = np.zeros((2 * kl + ku + 1, n))
+    for d in range(-ku, kl + 1):
+        ab[kl + ku + d, max(0, -d):n - max(0, d)] = np.diagonal(A, -d)
+    assert np.count_nonzero(ab) == np.count_nonzero(A)
+    x, info = lapack.dgbsv(kl, ku, ab, B @ u)[2:]
     assert info == 0
     return x[0::2], x[1::2]
+
+
+def test_short_axis_operator_matches_banded_reference():
+    # E itself on every node count that takes the dense solve (5 .. 47):
+    # the samples np.tri(m, m - 1, -1) have the unit vectors as their first
+    # differences, so the operator returns E's columns; relative to each
+    # row's largest entry
+    for n_cells in range(4, ccd._APART - 1):
+        ax = GridAxis(n_cells)
+        steps = np.tri(ax.n_nodes, ax.n_nodes - 1, -1)
+        pair = CcdFactorization(ax).apply(steps)
+        for got, ref in zip((pair.first, pair.second),
+                            _banded_reference(ax, steps)):
+            bound = 1e-13 * np.max(np.abs(ref), axis=1)
+            assert np.all(np.max(np.abs(got - ref), axis=1) <= bound), n_cells
 
 
 # 5, 9 and 33 nodes take the banded build, as does _APART - 1, whose two

@@ -8,6 +8,7 @@ from scipy.special import ive
 from ccdburgers import cli
 from ccdburgers.exact import (
     EXAMPLES,
+    SERIES_TAIL_TOL,
     SINGULAR_TIME_3,
     FourierCoefficients,
     compute_fourier_coefficients,
@@ -95,6 +96,22 @@ def test_coefficients_match_kernel_quadrature():
         ref = _kernel_quadrature(inv_re, coeffs.n_trunc)
         assert abs(coeffs.a0 - ref[0]) <= 1e-15
         assert np.max(np.abs(coeffs.a - ref[1:])) <= 1e-15
+
+
+def test_coefficients_match_bessel_reference():
+    # against scipy's exponentially scaled Bessel function, with the
+    # truncation rule applied to its terms, over the accepted inv_re from
+    # the floor 0.02765 up
+    n = np.arange(1, 100)
+    for inv_re in np.geomspace(0.02765, 100, 40):
+        s = 1 / (2 * np.pi * inv_re)
+        ref = 2 * ive(n, s)
+        damped = ref * np.exp(-(n**2) * np.pi**2 * inv_re * 0.05)
+        n_trunc = n[(damped < SERIES_TAIL_TOL) & (n >= 8)][0]
+        coeffs = compute_fourier_coefficients(inv_re)
+        assert coeffs.n_trunc == n_trunc
+        assert abs(coeffs.a0 - ive(0, s)) <= 1e-15
+        assert np.max(np.abs(coeffs.a - ref[:n_trunc])) <= 1e-15
 
 
 def test_series_truncation_insensitive(coeffs01):

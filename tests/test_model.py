@@ -1,6 +1,12 @@
 """Semi-discrete Burgers' right-hand side and the time-marching driver."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +499,50 @@ def test_component_count_must_match_dimension(n_initial, n_boundary):
     what = "initial" if n_initial != 2 else "boundary"
     with pytest.raises(ValueError, match=f"{what} data.* components, not 2"):
         run(spec, [8, 8], 0.125)
+
+
+def test_component_count_is_checked_on_every_callback_result():
+    # not only at t = 0: an exact solution with one component on a 2D
+    # problem, and boundary data that drops a component after t = 0, are
+    # refused, where zip would silently drop the missing component
+    spec = example3_spec(final_time=0.01)
+    final = run(spec, [8, 8], 0.005).final
+    one = dataclasses.replace(
+        spec, exact_fn=lambda x, y, t: example3_exact(x, y, t)[:1])
+    with pytest.raises(ValueError,
+                       match=r"exact solution at t=0\.01 has 1 components, not 2"):
+        linf_errors(final, one, [8, 8])
+    with pytest.raises(ValueError, match="has 1 components, not 2"):
+        pde_residual(one, one.exact_fn, 0.05, [8, 8])
+
+    def boundary(x, y, t):
+        values = example3_exact(x, y, t)
+        return values if t == 0 else values[:1]
+
+    dropping = dataclasses.replace(spec, boundary_fn=boundary)
+    with pytest.raises(ValueError,
+                       match=r"boundary data at t=0\.005 has 1 components, not 2"):
+        run(dropping, [8, 8], 0.005)
+
+
+def test_the_runtime_loads_no_scipy():
+    # the package needs NumPy only: importing it, marching examples 1 and 4
+    # and measuring example 1's error load no scipy module
+    code = textwrap.dedent("""
+        import sys
+        from ccdburgers import exact, model
+        spec = exact.example1_spec(final_time=0.05)
+        result = model.run(spec, [16], 0.0125)
+        assert max(model.linf_errors(result.final, spec, [16])) < 1e-4
+        model.run(exact.example4_spec(final_time=1 / 64), [8, 8, 8], 1 / 64)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = Path(model.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_dimension_is_the_domain_length():
