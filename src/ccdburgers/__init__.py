@@ -4,13 +4,10 @@ integration."""
 
 __version__ = "0.1.0"
 
-from .ccd import (
-    CcdFactorization,
-    DerivativePair,
-    get_factorization,
-)
+from .ccd import CcdFactorization, get_factorization
 from .grid import GridAxis
 from .model import (
+    FieldSet,
     InstabilityError,
     ProblemSpec,
     RunResult,
@@ -22,11 +19,10 @@ from .model import (
     run,
     stability_guard,
 )
-from .tvd_rk3 import FieldSet, UnstableStepError, tvd_rk3_step
+from .tvd_rk3 import UnstableStepError, tvd_rk3_step
 
 __all__ = [
     "CcdFactorization",
-    "DerivativePair",
     "FieldSet",
     "GridAxis",
     "InstabilityError",

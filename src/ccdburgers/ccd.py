@@ -36,7 +36,6 @@ E is built once per axis, along one of two routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,14 +68,6 @@ _ONE_BLOCK = 2 * _BLOCK + 1
 # Reversing an axis maps E_1 to itself and E_2 to -E_2: E_k[i, j] is
 # _REFLECTION[k] E_k[m - 1 - i, m - 2 - j].
 _REFLECTION = np.array([[[1.0]], [[-1.0]]])
-
-
-@dataclass(frozen=True)
-class DerivativePair:
-    """Nodal first and second derivative approximations along one axis."""
-
-    first: np.ndarray
-    second: np.ndarray
 
 
 def _system(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
@@ -233,18 +224,20 @@ class CcdFactorization:
             blocks.append((m - b, m - b - w, bottom))
         return blocks
 
-    def apply(self, samples: np.ndarray) -> DerivativePair:
+    def apply(self, samples: np.ndarray) -> np.ndarray:
         """Differentiate one pencil (shape (m,)) or a batch whose pencils run
-        down the first index (shape (m, ...)), into new arrays, by
-        multiplying the first differences by E.
+        down the first index (shape (m, ...)), by multiplying the first
+        differences by E.
 
-        E is contracted along the pencils' axis in the batch's own memory
-        layout: when swapping the first index with index k gives a
-        C-contiguous view (k = 0 for a C-contiguous batch), the samples are
-        read, and the derivatives written, in that order; any other view is
-        copied to C order once.  So the derivatives of a field handed over
-        as ``f.swapaxes(0, k)``, with ``f`` C-ordered, swapped back are
-        C-ordered too.
+        Returns one new array of shape ``(2,) + samples.shape``, first
+        derivatives in [0] and second in [1], so
+        ``first, second = fact.apply(u)``.  E is contracted along the
+        pencils' axis in the batch's own memory layout: when swapping the
+        first index with index k gives a C-contiguous view (k = 0 for a
+        C-contiguous batch), the samples are read, and the derivatives
+        written, in that order; any other view is copied to C order once.
+        So the derivatives of a field handed over as ``f.swapaxes(0, k)``,
+        with ``f`` C-ordered, swapped back are C-ordered too.
         """
         u = np.asarray(samples)
         m = self.m
@@ -254,8 +247,7 @@ class CcdFactorization:
                 f"{u.dtype} samples of shape {u.shape}"
             )
         if u.size == 0:
-            return DerivativePair(first=np.empty(u.shape),
-                                  second=np.empty(u.shape))
+            return np.empty((2,) + u.shape)
         k = 0
         if not u.flags.c_contiguous:
             k = next((k for k in range(1, u.ndim)
@@ -281,9 +273,7 @@ class CcdFactorization:
                           out=work[:, :, rows, 0])
             else:
                 np.matmul(block, du[:, cols], out=work[:, :, rows])
-        if k:
-            out = out.swapaxes(1, k + 1)
-        return DerivativePair(first=out[0], second=out[1])
+        return out.swapaxes(1, k + 1) if k else out
 
 
 _CACHE: dict[tuple[int, float], CcdFactorization] = {}

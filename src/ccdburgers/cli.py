@@ -103,7 +103,10 @@ def _spec_from_options(opts) -> tuple:
         kwargs["inv_re"] = float(opts["inv_re"])
     if opts.get("final_time") is not None:
         kwargs["final_time"] = float(opts["final_time"])
-    if example == 4 and opts.get("variant") is not None:
+    if opts.get("variant") is not None:
+        if example != 4:
+            raise ConfigError(
+                f"a variant applies to example 4 only, not example {example}")
         kwargs["variant"] = opts["variant"]
     return example, EXAMPLES[example](**kwargs)
 

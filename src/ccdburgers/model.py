@@ -9,17 +9,25 @@ whole right-hand side is explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ccd import CcdFactorization, get_factorization
 from .grid import GridAxis
-from .tvd_rk3 import FieldSet, UnstableStepError, tvd_rk3_step
+from .tvd_rk3 import UnstableStepError, tvd_rk3_step
 
 InitialFn = Callable[..., Sequence[np.ndarray]]
 BoundaryFn = Callable[..., Sequence[np.ndarray]]
+
+
+@dataclass(frozen=True)
+class FieldSet:
+    """Velocity components on the tensor grid at a given time."""
+
+    components: tuple[np.ndarray, ...]
+    time: float
 
 
 class InstabilityError(RuntimeError):
@@ -120,23 +128,24 @@ def directional_derivatives(
     shape of ``f``, new arrays that the caller may overwrite; they are
     C-ordered when ``f`` is.
     """
-    pair = fact.apply(f.swapaxes(0, axis_index))
-    return pair.first.swapaxes(0, axis_index), pair.second.swapaxes(0, axis_index)
+    # indexed: unpacking would iterate over the array, which costs more
+    d = fact.apply(f.swapaxes(0, axis_index))
+    return d[0].swapaxes(0, axis_index), d[1].swapaxes(0, axis_index)
 
 
 def burgers_rhs(
-    state: FieldSet,
+    comps: tuple[np.ndarray, ...],
     facts: Sequence[CcdFactorization],
     inv_re: float,
     out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """Evaluate -(u.grad)c + inv_re * laplacian(c) for every component c.
+    """Evaluate -(u.grad)c + inv_re * laplacian(c) for every component c of
+    the velocity ``comps``, one array per axis.
 
     The result is written into ``out``, one array per component, and
-    returned; it is allocated here when not given, and may not overlap the
-    state.
+    returned; it is allocated here when not given, and may not overlap
+    ``comps``.
     """
-    comps = state.components
     if out is None:
         out = tuple(np.empty_like(c, dtype=float) for c in comps)
     for comp, advection in zip(comps, out):
@@ -186,7 +195,13 @@ def _step_count(final_time: float, dt: float) -> int:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if final_time == 0:
         return 0
-    n = round(final_time / dt)
+    ratio = final_time / dt
+    if not np.isfinite(ratio):
+        raise ValueError(
+            f"dt={dt!r} is too small for final_time={final_time!r} "
+            f"(the step count overflows)"
+        )
+    n = round(ratio)
     if n < 1 or abs(n * dt - final_time) > 1e-12 * final_time:
         raise ValueError(
             f"dt={dt!r} does not divide final_time={final_time!r} "
@@ -261,8 +276,8 @@ def _validate_initial_boundary(initial, spec: ProblemSpec, faces):
 @dataclass
 class RunResult:
     final: FieldSet
-    snapshots: dict[float, FieldSet] = field(default_factory=dict)
-    steps: int = 0
+    snapshots: dict[float, FieldSet]
+    steps: int
 
 
 def run(
@@ -280,13 +295,12 @@ def run(
     set_boundary = _boundary_setter(spec, faces)
     initial = sample_components(spec.initial_fn, axes)
     _validate_initial_boundary(initial, spec, faces)
-    state = FieldSet(components=initial, time=0.0)
 
     snapshot_steps: dict[int, float] = {}
     for t_snap in snapshot_times:
         try:
             k = _step_count(t_snap, dt)
-        except (ValueError, OverflowError):
+        except ValueError:
             k = -1
         if not 0 <= k <= n_steps:
             raise ValueError(
@@ -304,11 +318,12 @@ def run(
     work = np.empty((2 * d,) + initial[0].shape)
     rhs_out, stage = tuple(work[:d]), tuple(work[d:])
     spare = tuple(np.empty_like(c) for c in initial)
-    rhs = lambda s: burgers_rhs(s, facts, spec.inv_re, rhs_out)
+    rhs = lambda comps: burgers_rhs(comps, facts, spec.inv_re, rhs_out)
 
-    result = RunResult(final=state)
+    state = initial
+    snapshots = {}
     if 0 in snapshot_steps:
-        result.snapshots[snapshot_steps[0]] = _copy(state)
+        snapshots[snapshot_steps[0]] = _copy(state, 0.0)
 
     for n in range(n_steps):
         t = (n + 1) * dt
@@ -317,20 +332,19 @@ def run(
         except UnstableStepError as exc:
             raise InstabilityError(n + 1, t, str(exc)) from exc
         # The spent state's arrays take the next step's result.
-        spare = state.components
+        spare = state
         # Algorithm step 4: physical boundary values are imposed, not evolved.
-        state = FieldSet(set_boundary(new.components, t), t)
+        state = set_boundary(new, t)
         if n + 1 in snapshot_steps:
-            result.snapshots[snapshot_steps[n + 1]] = _copy(state)
+            snapshots[snapshot_steps[n + 1]] = _copy(state, t)
 
-    result.final = state
-    result.steps = n_steps
-    return result
+    return RunResult(FieldSet(state, n_steps * dt), snapshots, n_steps)
 
 
-def _copy(state: FieldSet) -> FieldSet:
-    """A snapshot that owns its arrays: the time loop reuses the state's."""
-    return FieldSet(tuple(c.copy() for c in state.components), state.time)
+def _copy(comps: tuple[np.ndarray, ...], t: float) -> FieldSet:
+    """A snapshot at time t that owns its arrays: the time loop reuses the
+    state's."""
+    return FieldSet(tuple(c.copy() for c in comps), t)
 
 
 def linf_errors(
@@ -377,8 +391,7 @@ def pde_residual(
         (a - 8 * b + 8 * c - d) / (12 * dt_fd)
         for a, b, c, d in zip(f_m2, f_m1, f_p1, f_p2)
     )
-    state = FieldSet(components=fields(t), time=t)
-    space = burgers_rhs(state, facts, spec.inv_re)
+    space = burgers_rhs(fields(t), facts, spec.inv_re)
     return tuple(
         float(np.max(np.abs(ut - s))) for ut, s in zip(dudt, space)
     )

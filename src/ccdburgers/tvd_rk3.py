@@ -7,7 +7,6 @@ forward Euler while being third-order accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,15 +24,7 @@ class UnstableStepError(RuntimeError):
     """Raised when a stage produces non-finite values (blow-up)."""
 
 
-@dataclass(frozen=True)
-class FieldSet:
-    """Velocity components on the tensor grid at a given time."""
-
-    components: tuple[np.ndarray, ...]
-    time: float
-
-
-RhsFn = Callable[[FieldSet], Sequence[np.ndarray]]
+RhsFn = Callable[[tuple[np.ndarray, ...]], Sequence[np.ndarray]]
 
 
 def _check_finite(fields: Sequence[np.ndarray], label: str) -> None:
@@ -48,29 +39,30 @@ def _check_finite(fields: Sequence[np.ndarray], label: str) -> None:
 
 
 def tvd_rk3_step(
-    state: FieldSet,
+    un: tuple[np.ndarray, ...],
     dt: float,
     rhs: RhsFn,
     *,
     out: tuple[np.ndarray, ...] | None = None,
     stage: tuple[np.ndarray, ...] | None = None,
-) -> FieldSet:
-    """Advance ``state`` by one step of size ``dt``.
+) -> tuple[np.ndarray, ...]:
+    """Advance the components ``un`` by one step of size ``dt`` and return
+    ``out``, which holds the result.
 
-    ``rhs`` is evaluated exactly three times.  The step writes into two sets
-    of arrays shaped like the components and nothing else: ``out``, which
-    holds the first stage and then the returned state, and ``stage``, which
-    holds the second stage.  Either is allocated here when not given; they
-    may overlap neither each other nor ``state``.  ``rhs`` may return the
-    arrays of the state it is given; any other array it returns is only read.
+    ``rhs`` is evaluated exactly three times, on the tuples ``un``, ``out``
+    and ``stage`` in that order; it is autonomous, as no stage time is
+    passed.  The step writes into two sets of arrays shaped like the
+    components and nothing else: ``out``, which holds the first stage and
+    then the result, and ``stage``, which holds the second stage.  Either
+    is allocated here when not given; they may overlap neither each other
+    nor ``un``.  ``rhs`` may return the arrays it is given; any other array
+    it returns is only read.
 
     NumPy's overflow and invalid-value warnings are off inside the step:
     every stage is checked for non-finite values instead.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    t = state.time
-    un = state.components
     if out is None:
         out = tuple(np.empty_like(p, dtype=float) for p in un)
     if stage is None:
@@ -89,18 +81,17 @@ def tvd_rk3_step(
 
     with np.errstate(over="ignore", invalid="ignore"):
         # Stage 1: forward Euler.
-        for p, f, d in zip(un, rhs(state), out):
+        for p, f, d in zip(un, rhs(un), out):
             np.multiply(f, dt, out=d)
             d += p
         _check_finite(out, "stage 1")
 
         # Stage 2.
-        combine(out, rhs(FieldSet(out, t + dt)), stage, STAGE_WEIGHTS[1][1])
+        combine(out, rhs(out), stage, STAGE_WEIGHTS[1][1])
         _check_finite(stage, "stage 2")
 
         # Final combination, into the arrays of the spent first stage.
-        combine(stage, rhs(FieldSet(stage, t + 0.5 * dt)), out,
-                STAGE_WEIGHTS[2][1])
+        combine(stage, rhs(stage), out, STAGE_WEIGHTS[2][1])
         _check_finite(out, "updated state")
 
-    return FieldSet(components=out, time=t + dt)
+    return out

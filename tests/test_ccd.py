@@ -103,16 +103,15 @@ def test_constants_annihilated():
     for n_cells in (7, 80, 200):
         fact = CcdFactorization(GridAxis(n_cells))
         for u in (np.full(fact.m, 3.7), np.full((fact.m, fact.m), 3.7)):
-            pair = fact.apply(u)
-            assert not np.any(pair.first) and not np.any(pair.second)
+            assert not np.any(fact.apply(u))
 
 
 def test_quadratic_exact():
     ax = GridAxis(8)
     x = ax.nodes()
-    pair = get_factorization(ax).apply(x**2)
-    np.testing.assert_allclose(pair.first, 2 * x, rtol=0, atol=1e-11)
-    np.testing.assert_allclose(pair.second, 2.0, rtol=1e-11)
+    first, second = get_factorization(ax).apply(x**2)
+    np.testing.assert_allclose(first, 2 * x, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(second, 2.0, rtol=1e-11)
 
 
 # exactness tops out at degree 4: the one-sided closures carry a residual
@@ -126,11 +125,11 @@ def test_polynomial_exactness(degree, n_cells, left, right, rng):
     u = np.polynomial.polynomial.polyval(x, c)
     d1 = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(c))
     d2 = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(c, 2))
-    pair = get_factorization(ax).apply(u)
+    first, second = get_factorization(ax).apply(u)
     scale1 = np.max(np.abs(d1)) + 1
     scale2 = np.max(np.abs(d2)) + 1
-    assert np.max(np.abs(pair.first - d1)) / scale1 < 1e-10
-    assert np.max(np.abs(pair.second - d2)) / scale2 < 1e-10
+    assert np.max(np.abs(first - d1)) / scale1 < 1e-10
+    assert np.max(np.abs(second - d2)) / scale2 < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,10 +146,7 @@ def test_linearity(a, b, seed):
     v = local.standard_normal(13)
     lhs = fact.apply(a * u + b * v)
     pu, pv = fact.apply(u), fact.apply(v)
-    for got, want in (
-        (lhs.first, a * pu.first + b * pv.first),
-        (lhs.second, a * pu.second + b * pv.second),
-    ):
+    for got, want in zip(lhs, a * pu + b * pv):
         scale = np.max(np.abs(want)) + 1
         assert np.max(np.abs(got - want)) / scale < 1e-12
 
@@ -160,9 +156,8 @@ def _assert_small_residual(n_cells, rng):
     ax = GridAxis(n_cells)
     A, B = dense_matrices(ax)
     u = rng.standard_normal(ax.n_nodes)
-    pair = get_factorization(ax).apply(u)
     rhs = B @ u
-    unknowns = np.concatenate([pair.first, pair.second])
+    unknowns = np.concatenate(get_factorization(ax).apply(u))
     residual = A @ unknowns - rhs
     assert np.max(np.abs(residual)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
 
@@ -187,17 +182,17 @@ def test_banded_matches_dense_product(n_cells, right, rng):
     ax = GridAxis(n_cells, 0.0, right)
     dense = np.linalg.solve(*dense_matrices(ax))
     u = rng.standard_normal(ax.n_nodes)
-    pair = get_factorization(ax).apply(u)
+    first, second = get_factorization(ax).apply(u)
     m = ax.n_nodes
-    np.testing.assert_allclose(pair.first, dense[:m] @ u, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(pair.second, dense[m:] @ u, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(first, dense[:m] @ u, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(second, dense[m:] @ u, rtol=1e-12, atol=1e-12)
 
 
 def _interior_first_derivative_error(n_cells):
     ax = GridAxis(n_cells)
     x = ax.nodes()
-    pair = get_factorization(ax).apply(np.sin(2 * np.pi * x))
-    err = np.abs(pair.first - 2 * np.pi * np.cos(2 * np.pi * x))
+    first, _ = get_factorization(ax).apply(np.sin(2 * np.pi * x))
+    err = np.abs(first - 2 * np.pi * np.cos(2 * np.pi * x))
     # measured away from the boundary: the one-sided closures are lower
     # order and their error decays geometrically into the interior
     return err[n_cells // 4 : 3 * n_cells // 4 + 1].max()
@@ -215,8 +210,8 @@ def test_boundary_order_at_least_4():
     def boundary_err(n_cells):
         ax = GridAxis(n_cells)
         x = ax.nodes()
-        pair = get_factorization(ax).apply(np.sin(2 * np.pi * x))
-        return abs(pair.first[0] - 2 * np.pi)
+        first, _ = get_factorization(ax).apply(np.sin(2 * np.pi * x))
+        return abs(first[0] - 2 * np.pi)
 
     e16, e32, e64 = (boundary_err(m) for m in (16, 32, 64))
     assert math.log2(e16 / e32) >= 3.7
@@ -229,9 +224,9 @@ def test_boundary_node_orders_of_both_derivatives():
     first, second = [], []
     for m in (32, 64, 128, 256):
         ax = GridAxis(m)
-        pair = get_factorization(ax).apply(np.sin(ax.nodes()))
-        first.append(abs(pair.first[0] - 1.0))
-        second.append(abs(pair.second[0]))
+        d1, d2 = get_factorization(ax).apply(np.sin(ax.nodes()))
+        first.append(abs(d1[0] - 1.0))
+        second.append(abs(d2[0]))
     for errors, low, high in ((first, 3.9, 4.1), (second, 2.9, 3.1)):
         rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert all(low <= r <= high for r in rates), rates
@@ -243,9 +238,9 @@ def test_banded_accuracy_on_a_long_axis():
     # cancellation (2.4e-8 error against 9.2e-10 from differences)
     ax = GridAxis(1024)
     x = ax.nodes()
-    pair = get_factorization(ax).apply(np.sin(x))
-    assert np.max(np.abs(pair.first - np.cos(x))) <= 1e-12
-    assert np.max(np.abs(pair.second + np.sin(x))) <= 2e-9
+    first, second = get_factorization(ax).apply(np.sin(x))
+    assert np.max(np.abs(first - np.cos(x))) <= 1e-12
+    assert np.max(np.abs(second + np.sin(x))) <= 2e-9
 
 
 # 8 pencils on 201 nodes (several row blocks), 65 pencils on 9 nodes (one)
@@ -258,9 +253,7 @@ def test_apply_reads_views_as_given(n_cells, pencils, rng):
     # transpose and through a 3-D transpose that steps by 2
     for view in (base[:, 1].T, np.repeat(base, 2, axis=2)[:, :, ::2].T):
         assert not view.flags.c_contiguous and view.shape[0] == fact.m
-        got, want = fact.apply(view), fact.apply(view.copy())
-        np.testing.assert_array_equal(got.first, want.first)
-        np.testing.assert_array_equal(got.second, want.second)
+        np.testing.assert_array_equal(fact.apply(view), fact.apply(view.copy()))
 
 
 def test_batched_apply_matches_columnwise(rng):
@@ -272,8 +265,7 @@ def test_batched_apply_matches_columnwise(rng):
         pair = fact.apply(batch)
         for k in range(pencils):
             single = fact.apply(batch[:, k])
-            for got, want in ((pair.first[:, k], single.first),
-                              (pair.second[:, k], single.second)):
+            for got, want in zip(pair[:, :, k], single):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -304,17 +296,26 @@ def test_apply_accepts_integer_and_boolean_samples(rng):
     values = rng.integers(0, 200, (6, fact.m))
     for batch in (values - 100, values.astype(np.uint8), values > 100):
         for samples in (batch[0], batch.T.copy(), batch.T):
-            got, want = fact.apply(samples), fact.apply(samples.astype(float))
-            np.testing.assert_array_equal(got.first, want.first)
-            np.testing.assert_array_equal(got.second, want.second)
+            np.testing.assert_array_equal(fact.apply(samples),
+                                          fact.apply(samples.astype(float)))
+
+
+def test_apply_returns_one_array_of_both_derivatives(rng):
+    # first derivatives in [0] and second in [1], for a pencil, a batch and
+    # a batch read through a transpose
+    fact = get_factorization(GridAxis(8))
+    batch = rng.standard_normal((5, fact.m))
+    for samples in (batch[0], batch.T.copy(), batch.T):
+        got = fact.apply(samples)
+        assert type(got) is np.ndarray and got.shape == (2,) + samples.shape
 
 
 def test_apply_on_empty_batches():
     fact = get_factorization(GridAxis(8))
     for samples in (np.empty((9, 0)), np.empty((9, 0, 3)),
                     np.empty((3, 0, 9)).swapaxes(0, 2)):
-        pair = fact.apply(samples)
-        assert pair.first.shape == pair.second.shape == samples.shape
+        got = fact.apply(samples)
+        assert type(got) is np.ndarray and got.shape == (2,) + samples.shape
 
 
 def test_factorization_cache_shared():
@@ -357,8 +358,7 @@ def test_short_axis_operator_matches_banded_reference():
         ax = GridAxis(n_cells)
         steps = np.tri(ax.n_nodes, ax.n_nodes - 1, -1)
         pair = CcdFactorization(ax).apply(steps)
-        for got, ref in zip((pair.first, pair.second),
-                            _banded_reference(ax, steps)):
+        for got, ref in zip(pair, _banded_reference(ax, steps)):
             bound = 1e-13 * np.max(np.abs(ref), axis=1)
             assert np.all(np.max(np.abs(got - ref), axis=1) <= bound), n_cells
 
@@ -383,9 +383,7 @@ def test_wide_batch_matches_banded(n_cells, right, rng):
     pair, single = fact.apply(batch), fact.apply(batch[:, 0])
     # each column, and the first alone, against its banded solve, relative
     # to the column's largest derivative
-    for got, one, ref in zip((pair.first, pair.second),
-                             (single.first, single.second),
-                             _banded_reference(ax, batch)):
+    for got, one, ref in zip(pair, single, _banded_reference(ax, batch)):
         bound = 1e-13 * np.max(np.abs(ref), axis=0)
         assert np.all(np.max(np.abs(got - ref), axis=0) <= bound)
         assert np.max(np.abs(one - ref[:, 0])) <= bound[0]
@@ -407,11 +405,11 @@ def test_wide_batch_polynomial_exactness(n_cells, left, right, rng):
     u = np.column_stack([P.polyval(x, c) for c in coeffs])
     d1 = np.column_stack([P.polyval(x, P.polyder(c)) for c in coeffs])
     d2 = np.column_stack([P.polyval(x, P.polyder(c, 2)) for c in coeffs])
-    pair = fact.apply(u)
+    first, second = fact.apply(u)
     scale1 = np.max(np.abs(d1), axis=0) + 1
     scale2 = np.max(np.abs(d2), axis=0) + 1
-    assert np.max(np.max(np.abs(pair.first - d1), axis=0) / scale1) < 1e-10
-    assert np.max(np.max(np.abs(pair.second - d2), axis=0) / scale2) < 1e-10
+    assert np.max(np.max(np.abs(first - d1), axis=0) / scale1) < 1e-10
+    assert np.max(np.max(np.abs(second - d2), axis=0) / scale2) < 1e-10
 
 
 def test_interior_decay_rate_matches_recurrence_root():

@@ -70,7 +70,7 @@ def test_subcommand_flags_match_config_keys():
 
 def test_grid_dump_roundtrip(tmp_path):
     from ccdburgers.grid import GridAxis
-    from ccdburgers.tvd_rk3 import FieldSet
+    from ccdburgers.model import FieldSet
 
     axes = (GridAxis(4), GridAxis(8, 0.0, 0.5))
     comp = np.arange(45, dtype=float).reshape(5, 9)
@@ -156,6 +156,42 @@ def test_solve_bad_dt_is_config_error(tmp_path):
         outdir = tmp_path / str(i)
         assert cli.main([*argv, "--outdir", str(outdir)]) == 2, argv
         assert not outdir.exists(), argv
+
+
+def test_a_step_too_small_to_count_is_config_error(tmp_path, capsys):
+    # the final time over dt overflows to infinity: a one-line error
+    for argv in (["solve", "--example", "3", "--m", "8", "--dt", "1e-320"],
+                 ["table1", "--m", "8", "--dt", "1e-320"]):
+        outdir = tmp_path / argv[0]
+        rc = cli.main([*argv, "--outdir", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "overflows" in err
+        assert not outdir.exists()
+
+
+def test_variant_is_refused_for_examples_1_to_3(tmp_path, capsys):
+    # by flag or config key; example 4 takes it, and the manifest names it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variant = as-printed\n")
+    for argv in (
+        ["solve", "--example", "2", "--m", "8", "--variant", "as-printed"],
+        ["--config", str(cfg), "solve", "--example", "1", "--m", "8"],
+        ["converge", "--example", "3", "--m-list", "8",
+         "--variant", "corrected"],
+    ):
+        outdir = tmp_path / "refused"
+        assert cli.main([*argv, "--outdir", str(outdir)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "example 4 only" in err
+        assert not outdir.exists()
+    rc = cli.main(["solve", "--example", "4", "--m", "4", "--dt", "0.01",
+                   "--final-time", "0.02", "--variant", "as-printed",
+                   "--outdir", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["problem"] == "example4[as-printed]"
 
 
 def test_outdir_that_is_not_a_directory_refused(tmp_path, monkeypatch, capsys):

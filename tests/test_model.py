@@ -94,9 +94,9 @@ def test_directional_derivatives_match_apply_on_pencil_order_copy(rng):
     for axis in range(3):
         fact = get_factorization(GridAxis(f.shape[axis] - 1))
         first, second = directional_derivatives(f, axis, fact)
-        pair = fact.apply(np.ascontiguousarray(f.swapaxes(0, axis)))
-        np.testing.assert_array_equal(first, pair.first.swapaxes(0, axis))
-        np.testing.assert_array_equal(second, pair.second.swapaxes(0, axis))
+        ref1, ref2 = fact.apply(np.ascontiguousarray(f.swapaxes(0, axis)))
+        np.testing.assert_array_equal(first, ref1.swapaxes(0, axis))
+        np.testing.assert_array_equal(second, ref2.swapaxes(0, axis))
         assert first.shape == second.shape == f.shape
 
 
@@ -110,7 +110,7 @@ def test_directional_derivatives_are_c_ordered(rng):
             fact = get_factorization(GridAxis(shape[axis] - 1))
             got = directional_derivatives(f, axis, fact)
             pair = fact.apply(np.ascontiguousarray(f.swapaxes(0, axis)))
-            for field, ref in zip(got, (pair.first, pair.second)):
+            for field, ref in zip(got, pair):
                 assert field.flags.c_contiguous
                 # relative to each pencil's largest derivative
                 err = np.abs(field.swapaxes(0, axis) - ref).max(axis=0)
@@ -142,7 +142,7 @@ def test_directional_derivative_shape_mismatch():
 
 def test_rhs_constant_state_is_zero():
     facts = (get_factorization(GridAxis(8)),) * 2
-    state = FieldSet(components=(np.full((9, 9), 2.0), np.full((9, 9), -1.0)), time=0.0)
+    state = (np.full((9, 9), 2.0), np.full((9, 9), -1.0))
     out = burgers_rhs(state, facts, 0.1)
     for comp in out:
         assert np.max(np.abs(comp)) < 1e-11
@@ -158,7 +158,7 @@ def test_rhs_linear_2d_hand_oracle():
     u = x + y + zeros
     v = x - y + zeros
     facts = (get_factorization(ax),) * 2
-    out = burgers_rhs(FieldSet(components=(u, v), time=0.0), facts, 0.1)
+    out = burgers_rhs((u, v), facts, 0.1)
     assert np.max(np.abs(out[0] + 2 * x)) < 1e-10
     assert np.max(np.abs(out[1] + 2 * y)) < 1e-10
 
@@ -169,7 +169,7 @@ def test_rhs_1d_cubic_oracle():
     ax = GridAxis(64)
     x = ax.nodes()
     u = x * (1 - x)
-    out = burgers_rhs(FieldSet(components=(u,), time=0.0), (get_factorization(ax),), 1.0)
+    out = burgers_rhs((u,), (get_factorization(ax),), 1.0)
     expected = -u * (1 - 2 * x) - 2.0
     assert np.max(np.abs(out[0] - expected)) < 1e-10
 
@@ -179,13 +179,13 @@ def test_rhs_3d_z_constant_matches_2d_slices():
     ax = GridAxis(8)
     u, v = sample_components(spec.exact_fn, (ax, ax), 0.0)
     facts2 = (get_factorization(ax),) * 2
-    out2 = burgers_rhs(FieldSet(components=(u, v), time=0.0), facts2, 0.1)
+    out2 = burgers_rhs((u, v), facts2, 0.1)
 
     u3 = np.repeat(u[:, :, None], 9, axis=2)
     v3 = np.repeat(v[:, :, None], 9, axis=2)
     w3 = np.zeros_like(u3)
     facts3 = (get_factorization(ax),) * 3
-    out3 = burgers_rhs(FieldSet(components=(u3, v3, w3), time=0.0), facts3, 0.1)
+    out3 = burgers_rhs((u3, v3, w3), facts3, 0.1)
     # the z terms are analytically zero but leave operator roundoff (~1e-12),
     # so the slices agree to solver roundoff rather than bitwise
     for k in range(9):
@@ -202,15 +202,14 @@ def test_rhs_leaves_state_alone_and_repeats_into_out(shape, rng):
     facts = tuple(get_factorization(GridAxis(n - 1)) for n in shape)
     comps = tuple(rng.standard_normal(shape) for _ in shape)
     before = tuple(c.copy() for c in comps)
-    state = FieldSet(components=comps, time=0.0)
     out = tuple(np.empty(shape) for _ in shape)
-    first = tuple(c.copy() for c in burgers_rhs(state, facts, 0.1, out))
-    again = burgers_rhs(state, facts, 0.1, out)
+    first = tuple(c.copy() for c in burgers_rhs(comps, facts, 0.1, out))
+    again = burgers_rhs(comps, facts, 0.1, out)
     assert all(a is b for a, b in zip(again, out))
     for comp, old, a, b in zip(comps, before, first, again):
         assert np.array_equal(comp, old)
         assert np.array_equal(a, b)
-    for a, b in zip(again, burgers_rhs(state, facts, 0.1)):
+    for a, b in zip(again, burgers_rhs(comps, facts, 0.1)):
         assert np.array_equal(a, b)
 
 
@@ -368,6 +367,23 @@ def test_snapshots_are_recorded():
         ref = sample_components(spec.boundary_fn, axes, snap.time)
         for comp, exact in zip(snap.components, ref):
             assert np.array_equal(comp[face], exact[face])
+
+
+def test_run_makes_a_field_set_per_snapshot_and_for_the_result(monkeypatch):
+    # the time loop advances plain tuples of arrays: four steps with one
+    # snapshot make two records, each at its step's time
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(FieldSet(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(model, "FieldSet", counted)
+    result = run(example3_spec(), [8, 8], 0.025, snapshot_times=(0.05,))
+    assert result.steps == 4
+    assert len(made) == 2
+    assert made[0] is result.snapshots[0.05] and made[1] is result.final
+    assert made[0].time == 2 * 0.025 and made[1].time == 4 * 0.025
 
 
 def test_initial_boundary_mismatch_rejected():
