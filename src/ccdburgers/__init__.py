@@ -11,13 +11,11 @@ from .model import (
     InstabilityError,
     ProblemSpec,
     RunResult,
-    StabilityAdvisory,
     burgers_rhs,
     directional_derivatives,
     linf_errors,
     pde_residual,
     run,
-    stability_guard,
 )
 from .tvd_rk3 import UnstableStepError, tvd_rk3_step
 
@@ -28,7 +26,6 @@ __all__ = [
     "InstabilityError",
     "ProblemSpec",
     "RunResult",
-    "StabilityAdvisory",
     "UnstableStepError",
     "burgers_rhs",
     "directional_derivatives",
@@ -36,6 +33,5 @@ __all__ = [
     "linf_errors",
     "pde_residual",
     "run",
-    "stability_guard",
     "tvd_rk3_step",
 ]

@@ -163,32 +163,6 @@ def burgers_rhs(
     return out
 
 
-@dataclass(frozen=True)
-class StabilityAdvisory:
-    """Heuristic explicit-diffusion step-size advisory; never blocks a run."""
-
-    dt: float
-    limit: float
-    warn: bool
-    message: str
-
-
-def stability_guard(
-    spec: ProblemSpec, resolution: Sequence[int], dt: float
-) -> StabilityAdvisory:
-    """Warn when dt exceeds the heuristic diffusive limit h^2/(2*d*inv_re)."""
-    axes = spec.axes(resolution)
-    h = min(ax.spacing for ax in axes)
-    limit = h**2 / (2 * spec.dimension * spec.inv_re)
-    warn = dt > limit
-    message = (
-        f"dt={dt:.4g} exceeds heuristic diffusive limit {limit:.4g}"
-        if warn
-        else f"dt={dt:.4g} within heuristic diffusive limit {limit:.4g}"
-    )
-    return StabilityAdvisory(dt=dt, limit=limit, warn=warn, message=message)
-
-
 def _step_count(final_time: float, dt: float) -> int:
     """Steps of dt to reach final_time, to 1e-12 relative: the one lattice rule."""
     if not 0 < dt < np.inf:

@@ -90,6 +90,7 @@ def test_factorization_holds_no_dense_matrix():
 
 
 def test_public_names_resolve():
+    assert len(set(ccdburgers.__all__)) == len(ccdburgers.__all__)
     for name in ccdburgers.__all__:
         assert hasattr(ccdburgers, name), name
     namespace = {}

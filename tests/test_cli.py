@@ -128,8 +128,18 @@ def test_solve_config_file_with_override(tmp_path):
     assert manifest["dt"] == 0.00125  # command line beats config file
 
 
-def test_solve_missing_example_is_config_error(tmp_path):
-    assert cli.main(["solve", "--m", "8", "--outdir", str(tmp_path)]) == 2
+def test_solve_missing_example_is_config_error(tmp_path, capsys):
+    # so are a missing cell count or cell-count list, and a cell count per
+    # axis that does not match the dimension
+    for argv in (["solve", "--m", "8"],
+                 ["solve", "--example", "2"],
+                 ["converge", "--example", "3"],
+                 ["solve", "--example", "2", "--m", "8,8,8"]):
+        outdir = tmp_path / "refused"
+        assert cli.main([*argv, "--outdir", str(outdir)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert not outdir.exists()
 
 
 def test_solve_unknown_example_is_config_error(tmp_path):
@@ -169,6 +179,22 @@ def test_a_step_too_small_to_count_is_config_error(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "overflows" in err
         assert not outdir.exists()
+
+
+def test_h2_rule_on_a_long_final_time_is_config_error(tmp_path, capsys):
+    # T/h^2 overflows to infinity (1e307), or its next power of two, 2**1024,
+    # is past the float range (2.6e306): a one-line error
+    for final_time in ("1e307", "2.6e306"):
+        for argv in (["solve", "--example", "2", "--m", "8"],
+                     ["converge", "--example", "2", "--m-list", "8,16"]):
+            outdir = tmp_path / argv[0]
+            rc = cli.main([*argv, "--final-time", final_time,
+                           "--outdir", str(outdir)])
+            err = capsys.readouterr().err
+            assert rc == 2, (argv, final_time)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err and "overflows" in err
+            assert not outdir.exists()
 
 
 def test_variant_is_refused_for_examples_1_to_3(tmp_path, capsys):
@@ -259,21 +285,39 @@ def test_solve_prints_step_count_before_marching(tmp_path, monkeypatch,
     assert err == "marching 10000000000 steps of dt=1e-300 to t=1e-290\n"
 
 
-@pytest.mark.parametrize("dt, warn", [(0.025, False), (0.05, True)])
-def test_solve_reports_the_stability_advisory(tmp_path, capsys, dt, warn):
-    # example 2 on 8 x 8 cells: the heuristic limit h^2/(2*d*inv_re) is
-    # 0.0390625, between the two steps
-    rc = cli.main(["solve", "--example", "2", "--m", "8", "--dt", str(dt),
-                   "--final-time", "0.05", "--outdir", str(tmp_path)])
+#: (options, dt, final time, the heuristic limit h^2/(2*d*inv_re), the
+#: warning line or None) for the advisory in 1, 2 and 3 dimensions
+ADVISORY_CASES = [
+    # example 2 on 8 x 8 cells: the limit 0.0390625 lies between the steps
+    (["--example", "2", "--m", "8"], 0.025, 0.05, 0.125**2 / (2 * 2 * 0.1),
+     None),
+    (["--example", "2", "--m", "8"], 0.05, 0.05, 0.125**2 / (2 * 2 * 0.1),
+     "warning: dt=0.05 exceeds heuristic diffusive limit 0.03906"),
+    (["--example", "1", "--m", "80", "--inv-re", "1"], 1e-5, 1e-5,
+     0.0125**2 / 2, None),
+    (["--example", "2", "--m", "16"], 1 / 256, 1 / 128,
+     (1 / 16)**2 / (2 * 2 * 0.1), None),
+    (["--example", "4", "--m", "10", "--inv-re", "1"], 0.01, 0.01, 0.01 / 6,
+     "warning: dt=0.01 exceeds heuristic diffusive limit 0.001667"),
+]
+
+
+@pytest.mark.parametrize(
+    "options, dt, final_time, limit, warning", ADVISORY_CASES,
+    ids=[f"{dt}-{warning is not None}" for _, dt, _, _, warning in ADVISORY_CASES])
+def test_solve_reports_the_stability_advisory(tmp_path, capsys, options, dt,
+                                              final_time, limit, warning):
+    rc = cli.main(["solve", *options, "--dt", str(dt), "--final-time",
+                   str(final_time), "--outdir", str(tmp_path)])
     assert rc == 0
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["stability_limit"] == pytest.approx(0.125**2 / (2 * 2 * 0.1))
-    assert manifest["stability_warning"] is warn
+    assert manifest["stability_limit"] == pytest.approx(limit)
+    assert manifest["stability_warning"] is (warning is not None)
     err = capsys.readouterr().err
-    steps = round(0.05 / dt)
-    expected = f"marching {steps} steps of dt={dt:.6g} to t=0.05\n"
-    if warn:
-        expected += f"warning: dt={dt} exceeds heuristic diffusive limit 0.03906\n"
+    steps = round(final_time / dt)
+    expected = f"marching {steps} steps of dt={dt:.6g} to t={final_time:.6g}\n"
+    if warning:
+        expected += warning + "\n"
     assert err == expected
 
 

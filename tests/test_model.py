@@ -30,7 +30,6 @@ from ccdburgers.model import (
     pde_residual,
     run,
     sample_components,
-    stability_guard,
 )
 
 
@@ -211,38 +210,6 @@ def test_rhs_leaves_state_alone_and_repeats_into_out(shape, rng):
         assert np.array_equal(a, b)
     for a, b in zip(again, burgers_rhs(comps, facts, 0.1)):
         assert np.array_equal(a, b)
-
-
-# --- stability advisory -----------------------------------------------------
-
-def test_stability_guard_2d_no_warning():
-    spec = example2_spec()
-    h = 1 / 16
-    advisory = stability_guard(spec, [16, 16], h**2)
-    assert advisory.limit == pytest.approx(h**2 / (2 * 2 * 0.1))
-    assert not advisory.warn
-
-
-def test_stability_guard_1d_fine_step():
-    spec = ProblemSpec(
-        domain=((0.0, 1.0),), inv_re=1.0, final_time=1.0,
-        initial_fn=lambda x: (np.zeros_like(x),),
-        boundary_fn=lambda x, t: (np.zeros_like(x),),
-    )
-    advisory = stability_guard(spec, [80], 1e-5)
-    assert advisory.limit == pytest.approx(0.0125**2 / 2)
-    assert not advisory.warn
-
-
-def test_stability_guard_3d_warning():
-    spec = ProblemSpec(
-        domain=((0.0, 1.0),) * 3, inv_re=1.0, final_time=1.0,
-        initial_fn=lambda x, y, z: (np.zeros_like(x + y + z),) * 3,
-        boundary_fn=lambda x, y, z, t: (np.zeros_like(x + y + z),) * 3,
-    )
-    advisory = stability_guard(spec, [10, 10, 10], 0.01)
-    assert advisory.limit == pytest.approx(0.01 / 6)
-    assert advisory.warn
 
 
 # --- driver -----------------------------------------------------------------
@@ -540,6 +507,16 @@ def test_component_count_is_checked_on_every_callback_result():
                        match=r"boundary data at t=0\.005 has 1 components, not 2"):
         run(dropping, [8, 8], 0.005)
 
+    # the right count in a shape that does not fit a face: the error that
+    # stopped the strict zip is raised as it was
+    def misshapen(x, y, t):
+        values = example3_exact(x, y, t)
+        return values if t == 0 else tuple(np.zeros(5) for _ in values)
+
+    wrong_shape = dataclasses.replace(spec, boundary_fn=misshapen)
+    with pytest.raises(ValueError, match="could not broadcast"):
+        run(wrong_shape, [8, 8], 0.005)
+
 
 def test_the_runtime_loads_no_scipy():
     # the package needs NumPy only: importing it, marching examples 1 and 4
@@ -602,6 +579,12 @@ def test_spec_validation():
                 final_time=final_time,
                 initial_fn=lambda x: (x,), boundary_fn=lambda x, t: (x,),
             )
+    spec = example3_spec()
+    with pytest.raises(ValueError, match="one cell count per dimension"):
+        spec.axes([8])
+    with pytest.raises(ValueError, match="no exact solution"):
+        linf_errors(FieldSet((), 0.0), dataclasses.replace(spec, exact_fn=None),
+                    [8, 8])
 
 
 # --- manufactured-solution residual gate ------------------------------------
