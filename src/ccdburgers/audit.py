@@ -12,8 +12,6 @@ recomputing them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
 from .ccd import dense_matrices
@@ -27,49 +25,26 @@ SQRT7 = np.sqrt(7.0)
 DEFAULT_SWEEP_NODES = range(MIN_CELLS + 1, 129)
 
 
-@dataclass(frozen=True)
-class SemiCirculant3:
-    """Tridiagonal matrix with constant interior stencil (a, b, c) and
+def semicirculant(m: int, a: float, b: float, c: float,
+                  d: float, e: float, f: float, g: float) -> np.ndarray:
+    """Tridiagonal m x m matrix with constant interior stencil (a, b, c) and
     modified first row (d, e) / last row (g, f)."""
-
-    m: int
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-    g: float
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise ValueError("semi-circulant matrices need m >= 3")
-
-    def materialize(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        i = np.arange(1, self.m - 1)
-        out[i, i - 1] = self.a
-        out[i, i] = self.b
-        out[i, i + 1] = self.c
-        out[0, 0], out[0, 1] = self.d, self.e
-        out[-1, -1], out[-1, -2] = self.f, self.g
-        return out
-
-
-@dataclass(frozen=True)
-class BlockDeterminantReport:
-    commutator_norm: float
-    commutes: bool
-    det_block: float
-    det_reduced: float
-    relative_gap: float
-    ok: bool
+    if m < 3:
+        raise ValueError("semi-circulant matrices need m >= 3")
+    out = np.zeros((m, m))
+    i = np.arange(1, m - 1)
+    out[i, i - 1] = a
+    out[i, i] = b
+    out[i, i + 1] = c
+    out[0, 0], out[0, 1] = d, e
+    out[-1, -1], out[-1, -2] = f, g
+    return out
 
 
 def block_determinant_identity_check(
     A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
     rtol: float = 1e-8,
-) -> BlockDeterminantReport:
+) -> dict:
     """Check det([[A, B], [C, D]]) == det(A D - C B), which holds when A and
     C commute (Silvester 2000, Math. Gazette 84:460).  Blocks that do not
     commute give a failed report, not an exception."""
@@ -80,23 +55,18 @@ def block_determinant_identity_check(
     det_reduced = float(np.linalg.det(A @ D - C @ B))
     scale = max(abs(det_block), abs(det_reduced), 1e-300)
     gap = abs(det_block - det_reduced) / scale
-    return BlockDeterminantReport(
-        commutator_norm=comm,
-        commutes=commutes,
-        det_block=det_block,
-        det_reduced=det_reduced,
-        relative_gap=gap,
-        ok=commutes and gap <= rtol,
-    )
+    return {"commutator_norm": comm, "commutes": commutes,
+            "det_block": det_block, "det_reduced": det_reduced,
+            "relative_gap": gap, "ok": commutes and gap <= rtol}
 
 
-def ccd_blocks_semicirculant(m: int, h: float) -> tuple[SemiCirculant3, ...]:
-    """The four coefficient blocks in semi-circulant form."""
+def ccd_blocks_semicirculant(m: int, h: float) -> tuple[np.ndarray, ...]:
+    """The four coefficient blocks, each a semi-circulant matrix."""
     return (
-        SemiCirculant3(m, 7 / 16, 1.0, 7 / 16, 14.0, 16.0, 14.0, 16.0),
-        SemiCirculant3(m, h / 16, 0.0, -h / 16, 2 * h, -4 * h, -2 * h, 4 * h),
-        SemiCirculant3(m, -9 / (8 * h), 0.0, 9 / (8 * h), 1.0, 2.0, 1.0, 2.0),
-        SemiCirculant3(m, -1 / 8, 1.0, -1 / 8, 0.0, -h, 0.0, h),
+        semicirculant(m, 7 / 16, 1.0, 7 / 16, 14.0, 16.0, 14.0, 16.0),
+        semicirculant(m, h / 16, 0.0, -h / 16, 2 * h, -4 * h, -2 * h, 4 * h),
+        semicirculant(m, -9 / (8 * h), 0.0, 9 / (8 * h), 1.0, 2.0, 1.0, 2.0),
+        semicirculant(m, -1 / 8, 1.0, -1 / 8, 0.0, -h, 0.0, h),
     )
 
 
@@ -105,7 +75,7 @@ def assemble_full_ccd_matrix(m: int, h: float = 1.0) -> np.ndarray:
     constructors; must agree bitwise with the operator module's assembly."""
     if m < 4:
         raise ValueError("audit assembly needs m >= 4")
-    A1, A2, A3, A4 = (blk.materialize() for blk in ccd_blocks_semicirculant(m, h))
+    A1, A2, A3, A4 = ccd_blocks_semicirculant(m, h)
     return np.block([[A1, A2], [A3, A4]])
 
 
@@ -132,18 +102,7 @@ _M23 = (
 _CN2 = (2269 - 570 * SQRT7) / 1490
 
 
-@dataclass
-class ReductionReport:
-    matrix: np.ndarray
-    dominance_margins: np.ndarray
-    determinant: BlockDeterminantReport
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        self.ok = bool(np.all(self.dominance_margins > 0)) and self.determinant.ok
-
-
-def appendix_b_reduction() -> ReductionReport:
+def appendix_b_reduction() -> dict:
     """Replay the scripted determinant reduction for the 10-node case.
 
     Builds the 2n x 2n system (n = 10) at unit spacing, applies the
@@ -156,7 +115,7 @@ def appendix_b_reduction() -> ReductionReport:
     n = 10  # the published elementary steps are written for 10 nodes
     a = 6 * SQRT7 / 7
     b = 3 * SQRT7
-    A1, A2, A3, A4 = (blk.materialize() for blk in ccd_blocks_semicirculant(n, 1.0))
+    A1, A2, A3, A4 = ccd_blocks_semicirculant(n, 1.0)
 
     a5 = np.block([
         [A1 + b * A2, A2],
@@ -183,22 +142,14 @@ def appendix_b_reduction() -> ReductionReport:
     a6[n - 2, :] -= 0.1 * (a6[n - 3, :] + a6[n - 1, :])
 
     margins = 2 * np.abs(np.diag(a6)) - np.abs(a6).sum(axis=1)
-    return ReductionReport(matrix=a6, dominance_margins=margins,
-                           determinant=determinant)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    m: int
-    h: float
-    rcond: float
-    solve_residual: float
-    ok: bool
+    return {"matrix": a6, "dominance_margins": margins,
+            "determinant": determinant,
+            "ok": bool(np.all(margins > 0)) and determinant["ok"]}
 
 
 def nonsingularity_sweep(
     m_values=DEFAULT_SWEEP_NODES, h_values=(1.0, 0.1, 0.01)
-) -> list[SweepRow]:
+) -> list[dict]:
     """Conditioning and solve-residual sweep over (m, h) pairs."""
     rng = np.random.default_rng(20240901)
     rows = []
@@ -212,10 +163,8 @@ def nonsingularity_sweep(
             res = float(
                 np.max(np.abs(A @ sol - rhs)) / (1 + np.max(np.abs(rhs)))
             )
-            rows.append(SweepRow(
-                m=m, h=h, rcond=rcond, solve_residual=res,
-                ok=(rcond > 1e-12 and res < 1e-10),
-            ))
+            rows.append({"m": m, "h": h, "rcond": rcond, "solve_residual": res,
+                         "ok": rcond > 1e-12 and res < 1e-10})
     return rows
 
 
@@ -233,15 +182,15 @@ def audit_report() -> dict:
     reduction = appendix_b_reduction()
     sweep = nonsingularity_sweep()
     consistency = all(cross_module_consistency(m, h) for m in (5, 10, 32) for h in (1.0, 0.25))
-    ok = reduction.ok and all(r.ok for r in sweep) and consistency
+    ok = reduction["ok"] and all(r["ok"] for r in sweep) and consistency
     return {
         "reduction": {
-            "matrix": reduction.matrix.tolist(),
-            "dominance_margins": reduction.dominance_margins.tolist(),
-            "ok": reduction.ok,
+            "matrix": reduction["matrix"].tolist(),
+            "dominance_margins": reduction["dominance_margins"].tolist(),
+            "ok": reduction["ok"],
         },
-        "determinant": asdict(reduction.determinant),
-        "sweep": [asdict(r) for r in sweep],
+        "determinant": reduction["determinant"],
+        "sweep": sweep,
         "assembly_consistent": consistency,
         "ok": ok,
     }

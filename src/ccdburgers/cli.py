@@ -244,12 +244,18 @@ def cmd_converge(args) -> int:
     outdir = _outdir(opts)
     names = "uvw"[: spec.dimension]
 
-    rows = []
-    start = time.perf_counter()
+    # every level's step is refused, if at all, before any level runs
+    levels = []
     for m in m_list:
         resolution = [m] * spec.dimension
         h = min(ax.spacing for ax in spec.axes(resolution))
         dt = resolve_dt(opts.get("dt", "h2"), h, spec.final_time)
+        _step_count(spec.final_time, dt)
+        levels.append((m, resolution, h, dt))
+
+    rows = []
+    start = time.perf_counter()
+    for m, resolution, h, dt in levels:
         result = run(spec, resolution, dt)
         errors = linf_errors(result.final, spec, resolution)
         rows.append({"m": m, "h": h, "dt": dt, "errors": errors})

@@ -281,23 +281,23 @@ def test_criterion_6_time_stepper_properties():
 
 def test_criterion_7_solvability_audit():
     reduction = appendix_b_reduction()
-    entry_gap = float(np.max(np.abs(reduction.matrix - np.array(REDUCED_MATRIX_APPROX))))
-    margins_ok = reduction.dominance_margins.min() > 0
+    entry_gap = float(np.max(np.abs(reduction["matrix"] - np.array(REDUCED_MATRIX_APPROX))))
+    margins_ok = reduction["dominance_margins"].min() > 0
 
     h_values = (1.0, 0.1, 0.01)
     rows = nonsingularity_sweep(m_values=range(5, 129), h_values=h_values)
-    bad = [r for r in rows if not r.ok]
+    bad = [r for r in rows if not r["ok"]]
     # the exactly singular 4-node system, one below the smallest axis
     singular = nonsingularity_sweep(m_values=(4,), h_values=h_values)
-    singular_flagged = len(singular) == len(h_values) and not any(r.ok for r in singular)
+    singular_flagged = len(singular) == len(h_values) and not any(r["ok"] for r in singular)
 
     ok = entry_gap <= 5e-4 and margins_ok and not bad and singular_flagged
     assert _report(
         7, "reduction match + dominance + sweep m=5..128 + m=4 flagged", ok,
         f"entry gap {entry_gap:.1e}, min margin "
-        f"{reduction.dominance_margins.min():.2e}, sweep failures "
-        f"{[(r.m, r.h) for r in bad] or 'none'}, m=4 flagged at "
-        f"{[r.h for r in singular if not r.ok]}",
+        f"{reduction['dominance_margins'].min():.2e}, sweep failures "
+        f"{[(r['m'], r['h']) for r in bad] or 'none'}, m=4 flagged at "
+        f"{[r['h'] for r in singular if not r['ok']]}",
     )
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from ccdburgers.audit import (
-    SemiCirculant3,
     appendix_b_reduction,
     assemble_full_ccd_matrix,
     block_determinant_identity_check,
     ccd_blocks_semicirculant,
     cross_module_consistency,
     nonsingularity_sweep,
+    semicirculant,
 )
 from ccdburgers.reference_data import (
     REDUCED_MATRIX_APPROX,
@@ -23,7 +23,7 @@ SQRT7 = np.sqrt(7.0)
 # --- semi-circulant blocks --------------------------------------------------
 
 def test_semicirculant_layout():
-    M = SemiCirculant3(5, 1, 2, 3, 4, 5, 6, 7).materialize()
+    M = semicirculant(5, 1, 2, 3, 4, 5, 6, 7)
     assert M[0, 0] == 4 and M[0, 1] == 5 and M[0, 2] == 0
     assert M[-1, -1] == 6 and M[-1, -2] == 7
     assert (M[2, 1], M[2, 2], M[2, 3]) == (1, 2, 3)
@@ -31,7 +31,7 @@ def test_semicirculant_layout():
 
 def test_semicirculant_minimum_size():
     with pytest.raises(ValueError):
-        SemiCirculant3(2, 1, 1, 1, 1, 1, 1, 1)
+        semicirculant(2, 1, 1, 1, 1, 1, 1, 1)
 
 
 # --- block determinant identity ---------------------------------------------
@@ -42,7 +42,7 @@ def test_block_determinant_identity_commuting(rng):
     B = rng.standard_normal((4, 4))
     D = rng.standard_normal((4, 4))
     report = block_determinant_identity_check(A, B, C, D, rtol=1e-10)
-    assert report.ok
+    assert report["ok"]
 
 
 def test_block_determinant_identity_with_identities(rng):
@@ -50,8 +50,8 @@ def test_block_determinant_identity_with_identities(rng):
     D = rng.standard_normal((3, 3))
     eye = np.eye(3)
     report = block_determinant_identity_check(eye, B, eye, D)
-    assert report.ok
-    assert report.det_reduced == pytest.approx(np.linalg.det(D - B), rel=1e-10)
+    assert report["ok"]
+    assert report["det_reduced"] == pytest.approx(np.linalg.det(D - B), rel=1e-10)
 
 
 def test_block_determinant_identity_diagonal():
@@ -60,9 +60,9 @@ def test_block_determinant_identity_diagonal():
     B = np.diag([0.5, -1.0, 2.0])
     D = np.diag([2.0, 0.25, -3.0])
     report = block_determinant_identity_check(A, B, C, D)
-    assert report.ok
+    assert report["ok"]
     closed_form = np.prod(np.diag(A) * np.diag(D) - np.diag(C) * np.diag(B))
-    assert report.det_block == pytest.approx(closed_form, rel=1e-10)
+    assert report["det_block"] == pytest.approx(closed_form, rel=1e-10)
 
 
 def test_block_determinant_requires_commuting(rng):
@@ -70,8 +70,8 @@ def test_block_determinant_requires_commuting(rng):
     A = rng.standard_normal((4, 4))
     C = rng.standard_normal((4, 4))
     report = block_determinant_identity_check(A, np.eye(4), C, np.eye(4))
-    assert not report.commutes
-    assert not report.ok
+    assert not report["commutes"]
+    assert not report["ok"]
 
 
 # --- coefficient-matrix assembly --------------------------------------------
@@ -88,10 +88,10 @@ def test_assembly_minimum_size():
 
 def test_block_coefficients():
     A1, A2, A3, A4 = ccd_blocks_semicirculant(6, 0.5)
-    assert (A1.a, A1.b, A1.c, A1.d) == (7 / 16, 1.0, 7 / 16, 14.0)
-    assert A2.d == 1.0 and A2.e == -2.0  # 2h and -4h at h = 0.5
-    assert A3.a == -9 / 4
-    assert A4.e == -0.5
+    assert (A1[1, 0], A1[1, 1], A1[1, 2], A1[0, 0]) == (7 / 16, 1.0, 7 / 16, 14.0)
+    assert A2[0, 0] == 1.0 and A2[0, 1] == -2.0  # 2h and -4h at h = 0.5
+    assert A3[1, 0] == -9 / 4
+    assert A4[0, 1] == -0.5
 
 
 def test_determinant_h_scaling():
@@ -124,31 +124,31 @@ def reduction():
 
 def test_reduction_matches_published_display(reduction):
     ref = np.array(REDUCED_MATRIX_APPROX)
-    assert np.max(np.abs(reduction.matrix - ref)) < 5e-4
+    assert np.max(np.abs(reduction["matrix"] - ref)) < 5e-4
 
 
 def test_reduction_interior_radicals(reduction):
-    assert reduction.matrix[4, 4] == pytest.approx(SQRT7 / 36, abs=1e-12)
-    assert reduction.matrix[4, 3] == pytest.approx(5 * SQRT7 / 432, abs=1e-12)
+    assert reduction["matrix"][4, 4] == pytest.approx(SQRT7 / 36, abs=1e-12)
+    assert reduction["matrix"][4, 3] == pytest.approx(5 * SQRT7 / 432, abs=1e-12)
 
 
 def test_reduction_strictly_diagonally_dominant(reduction):
-    assert reduction.ok
-    assert reduction.dominance_margins.min() > 5e-4
+    assert reduction["ok"]
+    assert reduction["dominance_margins"].min() > 5e-4
 
 
 def test_reduction_block_determinant(reduction):
     # the reduced matrix carries the determinant of the 2n x 2n system
-    det = reduction.determinant
-    assert det.ok and det.commutes
-    assert det.det_block == pytest.approx(4.82066e-14, rel=1e-5)
-    assert det.relative_gap < 1e-12
+    det = reduction["determinant"]
+    assert det["ok"] and det["commutes"]
+    assert det["det_block"] == pytest.approx(4.82066e-14, rel=1e-5)
+    assert det["relative_gap"] < 1e-12
 
 
 def test_reduction_key_entries(reduction):
-    assert reduction.matrix[0, 0] == pytest.approx(0.0135, abs=5e-4)
-    assert reduction.matrix[3, 3] == pytest.approx(0.0735, abs=5e-4)
-    assert reduction.matrix[9, 8] == pytest.approx(0.1670, abs=5e-4)
+    assert reduction["matrix"][0, 0] == pytest.approx(0.0135, abs=5e-4)
+    assert reduction["matrix"][3, 3] == pytest.approx(0.0735, abs=5e-4)
+    assert reduction["matrix"][9, 8] == pytest.approx(0.1670, abs=5e-4)
 
 
 # --- published radical constants --------------------------------------------
@@ -170,28 +170,28 @@ def test_constants_match_reduction_entries(reduction):
         "T17": (9, 7), "T18": (9, 8),
     }
     for key, (i, j) in entry.items():
-        assert con[key] == pytest.approx(reduction.matrix[i, j], abs=1e-12), key
+        assert con[key] == pytest.approx(reduction["matrix"][i, j], abs=1e-12), key
     # the printed radical expression for the last diagonal entry is a
     # factor of ten short of the matrix it claims to describe
-    assert 10 * con["T19"] == pytest.approx(reduction.matrix[9, 9], abs=1e-12)
+    assert 10 * con["T19"] == pytest.approx(reduction["matrix"][9, 9], abs=1e-12)
 
 
 # --- conditioning sweep -----------------------------------------------------
 
 def test_sweep_subset_passes():
     rows = nonsingularity_sweep(m_values=range(5, 33), h_values=(1.0, 0.01))
-    assert all(r.ok for r in rows)
+    assert all(r["ok"] for r in rows)
 
 
 def test_sweep_flags_singular_minimum():
     rows = nonsingularity_sweep(m_values=(4,), h_values=(1.0,))
-    assert len(rows) == 1 and not rows[0].ok
+    assert len(rows) == 1 and not rows[0]["ok"]
 
 
 def test_sweep_condition_h_scaling():
-    rows = {r.h: r for r in nonsingularity_sweep(m_values=(64,), h_values=(1.0, 0.1, 0.01))}
+    rows = {r["h"]: r for r in nonsingularity_sweep(m_values=(64,), h_values=(1.0, 0.1, 0.01))}
     # condition number grows roughly like h^-2 but stays far from singular
-    assert rows[0.01].rcond < rows[1.0].rcond
-    assert rows[0.01].rcond > 1e-12
-    ratio = rows[1.0].rcond / rows[0.01].rcond
+    assert rows[0.01]["rcond"] < rows[1.0]["rcond"]
+    assert rows[0.01]["rcond"] > 1e-12
+    ratio = rows[1.0]["rcond"] / rows[0.01]["rcond"]
     assert 1e2 < ratio < 1e6

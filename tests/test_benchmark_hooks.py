@@ -1,15 +1,21 @@
-"""The benchmark's span wrappers still find the names they patch.
+"""The benchmark's span wrappers and runner still find the names they use.
 
-``perfbench/spans.py`` wraps package functions by name; a rename would
+``perfbench/spans.py`` wraps package functions by name, and
+``perfbench/run.py`` patches ``model.tvd_rk3_step``, clears ``ccd._CACHE``
+and reads ``result.final.components`` and ``result.steps``; a rename would
 otherwise surface only as a failed benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from ccdburgers import ccd, exact, model, tvd_rk3
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -74,3 +80,27 @@ def test_spans_count_pencils_of_unreshaped_3d_fields():
     assert calls["model.burgers_rhs"] == 6
     assert applies == 9 * calls["model.burgers_rhs"]
     assert tracer.pencils == 25 * applies
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_runner_job_passes_its_gate(traced, monkeypatch):
+    # run.py pins BLAS threads in os.environ when it loads, and imports
+    # spans from its own directory
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    # its @dataclass looks the module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+
+    # example 3 on 8 x 8 cells, two steps of 0.005
+    wl = run.Workload(3, 0.1, (8, 8), 0.005, 2,
+                      frozenset({"exact.compute_fourier_coefficients"}))
+    record = run.job(wl, run.import_package(), 1e-6, traced)
+    assert record["ok"], record["reason"]
+    assert record["steps"] == 2
+    if traced:
+        assert record["counts"]["tvd_rk3.steps"] == 2

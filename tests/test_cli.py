@@ -181,12 +181,19 @@ def test_a_step_too_small_to_count_is_config_error(tmp_path, capsys):
         assert not outdir.exists()
 
 
-def test_h2_rule_on_a_long_final_time_is_config_error(tmp_path, capsys):
+def test_h2_rule_on_a_long_final_time_is_config_error(
+        tmp_path, capsys, monkeypatch):
     # T/h^2 overflows to infinity (1e307), or its next power of two, 2**1024,
-    # is past the float range (2.6e306): a one-line error
+    # is past the float range (2.6e306): a one-line error.  converge refuses
+    # the m = 8 level before the m = 4 one, 2**1022 steps at 2.6e306, runs.
+    def run(*args):
+        raise AssertionError("a level ran before the refusal")
+
+    monkeypatch.setattr(cli, "run", run)
     for final_time in ("1e307", "2.6e306"):
         for argv in (["solve", "--example", "2", "--m", "8"],
-                     ["converge", "--example", "2", "--m-list", "8,16"]):
+                     ["converge", "--example", "2", "--m-list", "8,16"],
+                     ["converge", "--example", "2", "--m-list", "4,8"]):
             outdir = tmp_path / argv[0]
             rc = cli.main([*argv, "--final-time", final_time,
                            "--outdir", str(outdir)])
@@ -429,6 +436,13 @@ def test_audit_reports_and_exit_code(tmp_path):
     assert min(report["reduction"]["dominance_margins"]) > 0
     assert len(report["sweep"]) == (128 - 5 + 1) * 3  # nodes x spacings
     assert report["determinant"]["ok"]
+    # the report's schema
+    assert set(report["determinant"]) == {
+        "commutator_norm", "commutes", "det_block", "det_reduced",
+        "relative_gap", "ok"}
+    assert all(set(r) == {"m", "h", "rcond", "solve_residual", "ok"}
+               for r in report["sweep"])
+    assert set(report["reduction"]) == {"matrix", "dominance_margins", "ok"}
 
 
 def test_audit_non_commuting_blocks_exit_code(tmp_path, monkeypatch):
