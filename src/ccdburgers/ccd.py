@@ -195,6 +195,9 @@ class CcdFactorization:
             (slice(row, row + block.shape[1]), slice(col, col + block.shape[2]),
              block[:, None])
             for row, col, block in blocks)
+        # E itself, (2, m, m - 1), when one block holds it: a lone pencil's
+        # differences then take a single product
+        self._whole = blocks[0][2] if len(blocks) == 1 else None
 
     def _sliced_blocks(self) -> list[tuple[int, int, np.ndarray]]:
         """(first node, first difference, (2, rows, columns) block) per row
@@ -237,7 +240,10 @@ class CcdFactorization:
         C-contiguous batch), the samples are read, and the derivatives
         written, in that order; any other view is copied to C order once.
         So the derivatives of a field handed over as ``f.swapaxes(0, k)``,
-        with ``f`` C-ordered, swapped back are C-ordered too.
+        with ``f`` C-ordered, swapped back are C-ordered too.  A single
+        pencil on an axis of at most _ONE_BLOCK nodes, whose E is one block,
+        takes one product of E and its differences, without the batch
+        layout.
         """
         u = np.asarray(samples)
         m = self.m
@@ -246,6 +252,11 @@ class CcdFactorization:
                 f"expected real samples of shape ({m}, ...), got "
                 f"{u.dtype} samples of shape {u.shape}"
             )
+        if u.ndim == 1 and self._whole is not None:
+            # dtype=float: booleans have no subtract, and unsigned integers
+            # would wrap around
+            return np.matmul(self._whole,
+                             np.subtract(u[1:], u[:-1], dtype=float))
         if u.size == 0:
             return np.empty((2,) + u.shape)
         k = 0

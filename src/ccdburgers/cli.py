@@ -3,7 +3,8 @@ reproduction and the solvability audit.
 
 Configuration is a flat ``key=value`` text file holding only keys some
 subcommand reads; any command-line option overrides the file.  Exit codes:
-0 success, 2 configuration error, 3 instability, 4 audit failure.
+0 success, 2 configuration error (a grid too large to hold included),
+3 instability, 4 audit failure.
 """
 
 from __future__ import annotations
@@ -408,6 +409,12 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         # OSError: the outputs could not be written
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a grid too large to hold; run allocates its fields before the
+        # march, and numpy's message names the array it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_CONFIG
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ whole right-hand side is explicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -122,13 +123,16 @@ def directional_derivatives(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Differentiate every pencil of ``f`` along ``axis_index``.
 
-    ``f`` is handed to the operator as a view with that axis first, which
-    the operator reads in ``f``'s own memory layout, so no axis is copied
-    into pencil order.  Returns first- and second-derivative fields with the
-    shape of ``f``, new arrays that the caller may overwrite; they are
-    C-ordered when ``f`` is.
+    Along axis 0, ``f`` itself goes to the operator; along any other axis,
+    a view with that axis first.  The operator reads either in ``f``'s own
+    memory layout, so no axis is copied into pencil order.  Returns first-
+    and second-derivative fields with the shape of ``f``, new arrays that
+    the caller may overwrite; they are C-ordered when ``f`` is.
     """
     # indexed: unpacking would iterate over the array, which costs more
+    if axis_index == 0:
+        d = fact.apply(f)
+        return d[0], d[1]
     d = fact.apply(f.swapaxes(0, axis_index))
     return d[0].swapaxes(0, axis_index), d[1].swapaxes(0, axis_index)
 
@@ -184,61 +188,82 @@ def _step_count(final_time: float, dt: float) -> int:
     return n
 
 
-def _boundary_faces(axes: Sequence[GridAxis]):
-    """Every boundary face, two per axis, as (coordinates, index) pairs.
+def _boundary_nodes(axes: Sequence[GridAxis]):
+    """Every boundary node once, as (flat indices, coordinates): the node's
+    index into a C-ordered field, and one array per axis of its coordinates,
+    in the same order.
 
-    The index keeps the face's axis with length 1, so it selects the face
-    from a field and the face's open coordinate arrays from the grid's.
+    Gathered per axis, both of its faces at once, less the nodes on the
+    faces of the axes before it.  Every array is boundary sized; no
+    full-grid index or mask is made.
     """
-    coords = grid_coords(axes)
-    faces = []
-    for a in range(len(axes)):
-        for end in (slice(0, 1), slice(-1, None)):
-            # a coordinate array of length 1 along axis a gives its one
-            # element to either end
-            sel = (slice(None),) * a + (end,)
-            faces.append((tuple(c[sel] for c in coords), sel))
-    return faces
+    shape = tuple(ax.n_nodes for ax in axes)
+    d = len(shape)
+    x = [ax.nodes() for ax in axes]
+    count = math.prod(shape) - math.prod(n - 2 for n in shape)
+    index = np.zeros(count, dtype=np.intp)
+    coords = np.empty((d, count))
+    start = 0
+    for a, n in enumerate(shape):
+        # the slab's positions along each axis
+        spans = ([np.arange(1, k - 1) for k in shape[:a]] + [np.array([0, n - 1])]
+                 + [np.arange(k) for k in shape[a + 1:]])
+        slab = tuple(map(len, spans))
+        stop = start + math.prod(slab)
+        flat = index[start:stop].reshape(slab)
+        for k, pos in enumerate(spans):
+            # open along the axes after k, so it broadcasts over the slab
+            pos = pos.reshape((-1,) + (1,) * (d - 1 - k))
+            flat *= shape[k]
+            flat += pos
+            coords[k, start:stop].reshape(slab)[...] = x[k][pos]
+        start = stop
+    return index, tuple(coords)
 
 
-def _boundary_setter(spec: ProblemSpec, faces):
-    """Build a closure overwriting every node of ``faces`` from boundary_fn."""
+def _boundary_setter(spec: ProblemSpec, nodes):
+    """Build a closure overwriting the boundary ``nodes`` (see
+    ``_boundary_nodes``) from boundary_fn."""
+    index, coords = nodes
 
     def set_boundary(components: tuple[np.ndarray, ...], t: float):
-        """Write the boundary values at time t into ``components`` in place
-        and return the same tuple."""
-        for face, sel in faces:
-            values = spec.boundary_fn(*face, t)
-            try:
-                for comp, val in zip(components, values, strict=True):
-                    comp[sel] = val
-            except ValueError:
-                # a wrong count stops zip; the count rule names it
-                _components(values, len(components), "boundary data", t)
-                raise
+        """Write the boundary values at time t into the C-ordered
+        ``components`` in place, from one boundary_fn call on all boundary
+        nodes and one scatter per component, and return the same tuple."""
+        values = spec.boundary_fn(*coords, t)
+        try:
+            for comp, val in zip(components, values, strict=True):
+                comp.ravel()[index] = val
+        except ValueError:
+            # a wrong count stops zip; the count rule names it
+            values = _components(values, len(components), "boundary data", t)
+            shapes = ", ".join(str(np.shape(v)) for v in values)
+            raise ValueError(
+                f"boundary data at t={t:g} has shapes {shapes}, which do not "
+                f"broadcast to the {index.size} boundary nodes"
+            ) from None
         return components
 
     return set_boundary
 
 
-def _validate_initial_boundary(initial, spec: ProblemSpec, faces):
+def _validate_initial_boundary(initial, spec: ProblemSpec, nodes):
     """Refuse non-finite initial data, boundary data at t=0 without one
     component per axis, and initial data that differs from the boundary
-    data at t=0 by more than 1e-12 on any of ``faces``.
+    data at t=0 by more than 1e-12 at any of the boundary ``nodes``.
 
-    Only the faces are compared, as only they are imposed; the finiteness
-    pass reads every node without a float copy.
+    Only the boundary nodes are compared, as only they are imposed; the
+    finiteness pass reads every node without a float copy.
     """
     if not all(np.isfinite(c).all() for c in initial):
         raise ValueError("initial data must be finite")
     # non-finite boundary data makes its deviation NaN or inf, which fails
     # the test below
-    deviations = []
-    for face, sel in faces:
-        values = _components(spec.boundary_fn(*face, 0.0), len(initial),
-                             "boundary data", 0.0)
-        deviations += [float(np.max(np.abs(comp[sel] - val)))
-                       for comp, val in zip(initial, values)]
+    index, coords = nodes
+    values = _components(spec.boundary_fn(*coords, 0.0), len(initial),
+                         "boundary data", 0.0)
+    deviations = [float(np.max(np.abs(comp.ravel()[index] - val)))
+                  for comp, val in zip(initial, values)]
     if all(dev <= 1e-12 for dev in deviations):
         return
     raise ValueError(
@@ -262,13 +287,18 @@ def run(
 ) -> RunResult:
     """March the problem from t=0 to the final time."""
     axes = spec.axes(resolution)
-    facts = tuple(get_factorization(ax) for ax in axes)
     n_steps = _step_count(spec.final_time, dt)
 
-    faces = _boundary_faces(axes)
-    set_boundary = _boundary_setter(spec, faces)
+    # The boundary gather allocates every axis's nodes, so an axis too long
+    # to hold fails here, before its operator is built.  The arrays that
+    # live for the whole run come before the initial data: allocated after
+    # the sampling's temporaries are freed, they split that memory, which
+    # raised the peak RSS of a run on 1025^2 nodes by a field's 8 MiB.
+    nodes = _boundary_nodes(axes)
+    set_boundary = _boundary_setter(spec, nodes)
+    facts = tuple(get_factorization(ax) for ax in axes)
     initial = sample_components(spec.initial_fn, axes)
-    _validate_initial_boundary(initial, spec, faces)
+    _validate_initial_boundary(initial, spec, nodes)
 
     snapshot_steps: dict[int, float] = {}
     for t_snap in snapshot_times:

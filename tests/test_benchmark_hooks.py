@@ -54,11 +54,11 @@ def test_spans_count_wide_batch_pencils():
     assert calls["model.burgers_rhs"] == 6
     assert applies == 4 * calls["model.burgers_rhs"]
     assert tracer.pencils == 9 * applies
-    # one imposition per step; the initial-data check reads the faces
-    # without the setter.  Each of the three evaluates boundary_fn once on
-    # each of the 4 faces.
+    # one imposition per step; the initial-data check reads the boundary
+    # nodes without the setter.  Each of the three evaluates boundary_fn
+    # once, on every boundary node of all 4 faces.
     assert calls["model.set_boundary"] == 2
-    assert calls["spec.boundary_fn"] == 12
+    assert calls["spec.boundary_fn"] == 3
     # the span of get_factorization, which builds the operator, handed
     # both axes the factorization that holds it
     fact = ccd.get_factorization(problem.axes([8, 8])[0])

@@ -292,13 +292,15 @@ def test_apply_rejects_a_scalar():
 def test_apply_accepts_integer_and_boolean_samples(rng):
     # differenced in floating point, so unsigned samples do not wrap
     # around and booleans are not refused: a pencil, a batch, and a batch
-    # read as 6 rows over several row blocks
-    fact = get_factorization(GridAxis(200))
-    values = rng.integers(0, 200, (6, fact.m))
-    for batch in (values - 100, values.astype(np.uint8), values > 100):
-        for samples in (batch[0], batch.T.copy(), batch.T):
-            np.testing.assert_array_equal(fact.apply(samples),
-                                          fact.apply(samples.astype(float)))
+    # read as 6 rows, over several row blocks (201 nodes) and in one
+    # (81 nodes, where a pencil takes a single product)
+    for n_cells in (200, 80):
+        fact = get_factorization(GridAxis(n_cells))
+        values = rng.integers(0, 200, (6, fact.m))
+        for batch in (values - 100, values.astype(np.uint8), values > 100):
+            for samples in (batch[0], batch.T.copy(), batch.T):
+                np.testing.assert_array_equal(
+                    fact.apply(samples), fact.apply(samples.astype(float)))
 
 
 def test_apply_returns_one_array_of_both_derivatives(rng):

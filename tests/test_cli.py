@@ -4,7 +4,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +207,38 @@ def test_h2_rule_on_a_long_final_time_is_config_error(
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err and "overflows" in err
             assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # 1D: 4e8 + 1 nodes, 3.0 GiB per field
+    ["--example", "1", "--m", "400000000", "--dt", "1e-3",
+     "--final-time", "1e-3"],
+    # 2D with 1e11 nodes per axis
+    ["--example", "3", "--m", "99999999999", "--dt", "0.00125"],
+], ids=["1d", "2d"])
+def test_a_grid_too_large_to_hold_is_config_error(tmp_path, argv):
+    # in a child process whose address space is capped at 2 GiB, so the
+    # allocation fails instead of taking the machine's memory: exit 2,
+    # one error line that names the array, no traceback, no output
+    code = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from ccdburgers import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    src = Path(cli.__file__).resolve().parents[1]
+    outdir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "solve", *argv, "--outdir", str(outdir)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src),
+             "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and "Traceback" not in proc.stderr
+    assert errors[0].startswith("error: out of memory: Unable to allocate")
+    assert not outdir.exists()
 
 
 def test_variant_is_refused_for_examples_1_to_3(tmp_path, capsys):

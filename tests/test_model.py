@@ -99,6 +99,25 @@ def test_directional_derivatives_match_apply_on_pencil_order_copy(rng):
         assert first.shape == second.shape == f.shape
 
 
+def test_axis_zero_hands_the_field_itself_to_the_operator(rng):
+    # no view is made along axis 0: the operator gets the object f, and
+    # its two derivative fields come back as they are
+    f = rng.standard_normal((9, 5))
+    fact = get_factorization(GridAxis(8))
+    seen = []
+
+    class Recording:
+        def apply(self, samples):
+            seen.append(samples)
+            return fact.apply(samples)
+
+    first, second = directional_derivatives(f, 0, Recording())
+    assert len(seen) == 1 and seen[0] is f
+    ref1, ref2 = fact.apply(f)
+    np.testing.assert_array_equal(first, ref1)
+    np.testing.assert_array_equal(second, ref2)
+
+
 def test_directional_derivatives_are_c_ordered(rng):
     # every axis of a C-ordered field is differentiated in the field's own
     # layout and comes back C-ordered; 201 nodes along a last axis take
@@ -271,7 +290,7 @@ def test_set_boundary_writes_in_place():
     # a 3D grid with a different node count on each axis
     spec = example4_spec()
     axes = spec.axes([4, 5, 6])
-    set_boundary = model._boundary_setter(spec, model._boundary_faces(axes))
+    set_boundary = model._boundary_setter(spec, model._boundary_nodes(axes))
     rng = np.random.default_rng(0)
     comps = tuple(rng.standard_normal((5, 6, 7)) for _ in range(3))
     before = tuple(c.copy() for c in comps)
@@ -433,14 +452,15 @@ def test_mismatch_inside_one_face_rejected(axis, end):
 
 def test_initial_boundary_check_reads_faces_only():
     # two 513^2 components: one float copy of either is 2.1 MB, while the
-    # faces and the finiteness pass's boolean mask stay well below 1 MiB
+    # boundary values and the finiteness pass's boolean mask stay well
+    # below 1 MiB
     spec = example2_spec()
     axes = spec.axes([512, 512])
-    faces = model._boundary_faces(axes)
+    nodes = model._boundary_nodes(axes)
     initial = sample_components(spec.initial_fn, axes)
     tracemalloc.start()
     try:
-        model._validate_initial_boundary(initial, spec, faces)
+        model._validate_initial_boundary(initial, spec, nodes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -507,14 +527,16 @@ def test_component_count_is_checked_on_every_callback_result():
                        match=r"boundary data at t=0\.005 has 1 components, not 2"):
         run(dropping, [8, 8], 0.005)
 
-    # the right count in a shape that does not fit a face: the error that
-    # stopped the strict zip is raised as it was
+    # the right count in a shape that does not fit the boundary: the error
+    # names the data's shapes and the 32 boundary nodes of 9 x 9
     def misshapen(x, y, t):
         values = example3_exact(x, y, t)
         return values if t == 0 else tuple(np.zeros(5) for _ in values)
 
     wrong_shape = dataclasses.replace(spec, boundary_fn=misshapen)
-    with pytest.raises(ValueError, match="could not broadcast"):
+    with pytest.raises(ValueError, match=r"boundary data at t=0\.005 has "
+                       r"shapes \(5,\), \(5,\), which do not broadcast to "
+                       r"the 32 boundary nodes"):
         run(wrong_shape, [8, 8], 0.005)
 
 
