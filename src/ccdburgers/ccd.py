@@ -18,10 +18,8 @@ truncation error) is
 Every row of B annihilates constants, so B u = B~ (u[1:] - u[:-1]): the
 derivatives are the fixed linear map E = A^-1 B~ of the first differences.
 ``CcdFactorization.apply`` multiplies every batch by E, a single pencil
-included, so constants give exactly zero.  E's entries decay geometrically
-away from the diagonal (Demko, Moss & Smith 1984, Math. Comp. 43:491), so
-only a band of half-width ``_HALF_WIDTH`` differences is kept, in row blocks.
-E is built once per axis, along one of two routes:
+included, so constants give exactly zero.  E is built once per axis, along
+one of two routes:
 
 * an axis of fewer than ``_APART`` nodes, whose two ends still interact,
   solves the dense system, in the interleaved order of ``_system``, for
@@ -30,7 +28,17 @@ E is built once per axis, along one of two routes:
 * a longer axis is sliced from pieces of one 129-node operator at h = 1,
   built at import: the Toeplitz band of its interior rows, plus the
   correction in the corner at the left end, plus that corner mirrored to
-  the right end, with the rows scaled by 1/h and 1/h^2.
+  the right end, with the rows scaled by 1/h and 1/h^2.  E's entries decay
+  geometrically away from the diagonal (Demko, Moss & Smith 1984, Math.
+  Comp. 43:491), so the band keeps ``_HALF_WIDTH`` differences each side.
+
+An axis of at most ``_ONE_BLOCK`` nodes holds E as one dense block.  On a
+longer axis, every row of E is, outside its own block of rows, a sum of two
+geometric modes on either side of the diagonal: the semiseparable structure
+of inverses of banded block matrices (Meurant 1992, SIAM J. Matrix Anal.
+Appl. 13:707).  So E is held in row blocks that read only their own
+differences plus four carries (see ``_carry_blocks``), and every interior
+block is the same array.
 """
 
 from __future__ import annotations
@@ -44,14 +52,17 @@ from .grid import GridAxis
 # x_i = z^i v solves the homogeneous interior equations exactly when
 # 1 + 20z + 48z^2 + 20z^3 + z^4 = 0, the determinant of their 2x2 symbol (the
 # same at every spacing).  The quartic is palindromic: with s = z + 1/z it
-# reads s^2 + 20s + 46 = 0.  Its root s = -10 + sqrt(54) gives the larger
-# root inside the unit circle, z = (s + sqrt(s^2 - 4))/2 = -0.4553, whose
-# modulus is the rate at which the entries of A^-1 B fall per node away
+# reads s^2 + 20s + 46 = 0, so s = -10 +- sqrt(54).  Each s gives one root
+# inside the unit circle, z = 2 / (s - sqrt(s^2 - 4)) without cancellation:
+# z1 = -0.4553 and z2 = -0.0578, the two modes of E's rows away from their
+# block.  |z1| is the rate at which the entries of A^-1 B fall per node away
 # from the diagonal.
-_S = -10 + math.sqrt(54)
-_DECAY = abs(_S + math.sqrt(_S * _S - 4)) / 2
-# Largest entry, relative to its row's maximum, that the block-banded
-# operator may drop; checked at import, on the pieces every long axis uses.
+_S = -10 + math.sqrt(54) * np.array([1.0, -1.0])
+_ROOTS = 2 / (_S - np.sqrt(_S * _S - 4))
+_DECAY = float(abs(_ROOTS[0]))
+# Largest entry, relative to its row's maximum, that the row blocks may
+# drop; checked at import, on the pieces every long axis uses, with the
+# carries held to it plus one unit of round-off.
 _TAIL = 1e-16
 # Differences kept on each side of a node: the smallest width whose
 # geometric tail _DECAY^W / (1 - _DECAY) is below _TAIL (48).
@@ -61,8 +72,10 @@ _HALF_WIDTH = math.ceil(math.log(_TAIL * (1 - _DECAY)) / math.log(_DECAY))
 _APART = 1 + math.ceil(math.log(_TAIL) / math.log(_DECAY))
 # Nodes per row block, and the side of the corner at either end in which E
 # departs from its band.  An axis of at most _ONE_BLOCK nodes is one dense
-# block; a longer one is a top corner block, Toeplitz interior blocks and a
-# bottom corner block.
+# block; a longer one is a top block of _BLOCK nodes, interior blocks of
+# _BLOCK nodes and a bottom block of the remaining _BLOCK .. 2 _BLOCK - 1, so
+# that each corner lies inside one block.  Carries reach only the adjacent
+# block, which holds every entry above _TAIL when _BLOCK >= _HALF_WIDTH.
 _BLOCK = 64
 _ONE_BLOCK = 2 * _BLOCK + 1
 # Reversing an axis maps E_1 to itself and E_2 to -E_2: E_k[i, j] is
@@ -136,39 +149,119 @@ def _difference_operator(axis: GridAxis) -> np.ndarray:
     return e
 
 
+def _one_block(m: int, band: np.ndarray, left: np.ndarray,
+               right: np.ndarray) -> np.ndarray:
+    """E at h = 1 on an axis of _APART .. _ONE_BLOCK nodes, (2, m, m - 1):
+    the band plus each end's corner correction."""
+    b = _BLOCK
+    e = np.array(band[:, :m, :m - 1])
+    e[:, :b, :b] += left[:, :m, :m - 1]
+    e[:, -b:, -b:] += right[:, -m:, 1 - m:]
+    return e
+
+
+def _carry_blocks(m: int, band: np.ndarray, left: np.ndarray,
+                  right: np.ndarray) -> tuple[np.ndarray, ...]:
+    """E at h = 1 on an axis of at least 2 _BLOCK nodes, in carry form: the
+    top block, one interior block and the bottom block.
+
+    A block of the nodes s .. e - 1 owns the differences from s to e - 1
+    (to m - 2 in the bottom block), and is (2, rows, 4 + owned).  Its
+    columns weigh the two causal carries sum_j z_r^(s-1-j) du_j over the
+    previous block's differences, the two anticausal carries
+    sum_j z_r^(j-e) du_j over the next block's, and then its own
+    differences.  Past the block, a row of E is sum_r c_r z_r^k at k
+    differences from it, on either side; its two weights c_r on a side
+    come from its two entries nearest the block, through the Vandermonde
+    matrix [[1, 1], [z1, z2]].  The top block has no causal carries and the
+    bottom block no anticausal ones: their weights are zero.
+    """
+    b = _BLOCK
+    rows = m - (m // b - 1) * b
+    # E on the differences s - 2, s - 1, the block's own, e and e + 1; each
+    # corner correction ends inside its block, by _TAIL
+    top = np.zeros((2, b, b + 4))
+    top[:, :, 2:] = band[:, :b, :b + 2]
+    top[:, :, 2:-2] += left
+    bottom = np.zeros((2, rows, rows + 3))
+    bottom[:, :, :-2] = band[:, 2:rows + 2, :rows + 1]
+    bottom[:, -b:, -b - 2:-2] += right
+    interior = band[:, 2:b + 2, :b + 4]
+    # (E_k, E_k+1) times to_modes is (c_1, c_2): the transposed inverse of
+    # the Vandermonde matrix
+    z1, z2 = _ROOTS
+    to_modes = np.array([[z2, -z1], [-1.0, 1.0]]) / (z2 - z1)
+    blocks = tuple(np.empty_like(x) for x in (top, interior, bottom))
+    for x, block in zip((top, interior, bottom), blocks):
+        np.matmul(x[..., 1::-1], to_modes, out=block[..., :2])
+        np.matmul(x[..., -2:], to_modes, out=block[..., 2:4])
+        block[..., 4:] = x[..., 2:-2]
+    return blocks
+
+
 def _unit_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E on _ONE_BLOCK nodes at h = 1, as the pieces that every axis of at
     least _APART nodes is sliced from: the Toeplitz band of its middle row,
-    a read-only view wide enough for an interior row block; the correction
-    that E adds to the band in its first _BLOCK rows and differences, near
-    the left end; and that corner's mirror image, near the right end.
+    cut to _HALF_WIDTH differences each side, as a read-only
+    (2, _ONE_BLOCK, _ONE_BLOCK - 1) view; the correction that E adds to the
+    band in its first _BLOCK rows and differences, near the left end; and
+    that corner's mirror image, near the right end.
 
-    Refuses a half-width at which the band and corners would drop more than
-    _TAIL of a row's maximum.
+    Refuses a block shorter than the half-width, a half-width at which the
+    band and corners would drop more than _TAIL of a row's maximum, and
+    carries that would miss the pieces' own operator by more than _TAIL
+    plus one unit of round-off of a row's maximum.  The pieces already
+    differ from the dense E by that round-off (2.1e-16 of a row's maximum),
+    and the carries rebuild the entries next to a block from two of them.
+    The carries are checked on this axis cut into a top and a bottom
+    block, so every off-block entry of both corners is rebuilt.
     """
+    b, w = _BLOCK, _HALF_WIDTH
+    if b < w:
+        raise RuntimeError(
+            f"row blocks of {b} nodes are shorter than the half-width {w}: "
+            f"carries from the adjacent block would miss entries of E"
+        )
     cells = _ONE_BLOCK - 1
     e = _difference_operator(GridAxis(cells, 0.0, float(cells)))
-    b, w = _BLOCK, _HALF_WIDTH
     offset = np.arange(cells) - np.arange(_ONE_BLOCK)[:, None]
     kept = (-w <= offset) & (offset < w)
     kept[:b, :b] = kept[-b:, -b:] = True
-    worst = float(np.max(np.abs(e * ~kept).max(axis=2) / np.abs(e).max(axis=2)))
+    scale = np.abs(e).max(axis=2)
+    worst = float(np.max(np.abs(e * ~kept).max(axis=2) / scale))
     if worst > _TAIL:
         raise RuntimeError(
             f"the block-banded CCD operator would drop {worst:.2g} of a "
             f"row's maximum (half-width {w}, limit {_TAIL:.0e})"
         )
     # band[:, i, j] = line[:, cells + j - i], the stencil at offset j - i
-    cols = b + 2 * w - 1
-    line = np.zeros((2, _ONE_BLOCK + cols - 1))
+    line = np.zeros((2, 2 * cells))
     line[:, cells - w:cells + w] = e[:, b, b - w:b + w]
-    band = np.lib.stride_tricks.sliding_window_view(line, cols, axis=1)[:, ::-1]
+    band = np.lib.stride_tricks.sliding_window_view(line, cells, axis=1)[:, ::-1]
     left = e[:, :b, :b] - band[:, :b, :b]
     right = left[:, ::-1, ::-1] * _REFLECTION
+    # outside the two blocks, the pieces hold the band alone
+    top, _, bottom = _carry_blocks(_ONE_BLOCK, band, left, right)
+    powers = _ROOTS[:, None] ** np.arange(b)
+    worst = max(
+        float(np.max(np.abs(weights @ powers - outside).max(axis=2) / maxima))
+        for weights, outside, maxima in (
+            (top[:, :, 2:4], band[:, :b, b:], scale[:, :b]),
+            (bottom[:, :, :2], band[:, b:, b - 1::-1], scale[:, b:])))
+    limit = _TAIL + np.finfo(float).eps
+    if worst > limit:
+        raise RuntimeError(
+            f"the carries would rebuild E outside its row blocks to "
+            f"{worst:.2g} of a row's maximum (limit {limit:.2g})"
+        )
     return band, left, right
 
 
 _BAND, _LEFT, _RIGHT = _unit_pieces()
+# The carries over a block's _BLOCK differences du_n: the causal sums
+# sum_n z_r^(b-1-n) du_n and the anticausal sums sum_n z_r^n du_n.
+_POWERS = _ROOTS[:, None] ** np.arange(_BLOCK)
+_CARRY_SUMS = np.concatenate((_POWERS[:, ::-1], _POWERS))
 
 
 class CcdFactorization:
@@ -176,56 +269,42 @@ class CcdFactorization:
 
     ``apply`` maps nodal samples (one pencil per column) to nodal first and
     second derivatives.  Construction builds E, so the factorization cache,
-    and with it a run's setup, pays for it.  A factorization can be shared
-    freely across pencils, directions and time steps.
+    and with it a run's setup, pays for it.  An axis of at most _ONE_BLOCK
+    nodes holds E as one dense block.  A longer one holds three blocks in
+    carry form (``_carry_blocks``): the top one, one interior block that
+    serves every interior row range, and the bottom one, so building it
+    takes the same work and memory at any node count.  A factorization can
+    be shared freely across pencils, directions and time steps.
     """
 
     def __init__(self, axis: GridAxis):
         self.axis = axis
         self.m = m = axis.n_nodes
-        if m < _APART:
-            blocks = [(0, 0, _difference_operator(axis))]
-        else:
-            blocks = self._sliced_blocks()
-        # (slice of nodes, slice of differences, (2, 1, rows, columns)
-        # block) per row block, first derivatives in [0] and second in [1];
-        # the groups of pencils that ``apply`` multiplies broadcast over the
-        # unit axis
-        self._blocks = tuple(
-            (slice(row, row + block.shape[1]), slice(col, col + block.shape[2]),
-             block[:, None])
-            for row, col, block in blocks)
-        # E itself, (2, m, m - 1), when one block holds it: a lone pencil's
-        # differences then take a single product
-        self._whole = blocks[0][2] if len(blocks) == 1 else None
-
-    def _sliced_blocks(self) -> list[tuple[int, int, np.ndarray]]:
-        """(first node, first difference, (2, rows, columns) block) per row
-        block of E on an axis of at least _APART nodes, sliced from the
-        import-time pieces."""
-        m, h = self.m, self.axis.spacing
-        b, w = _BLOCK, _HALF_WIDTH
+        h = axis.spacing
         scale = np.array([[[1 / h]], [[1 / h**2]]])
-        # The band, plus each end's correction in its corner block; one
-        # array serves as both corner blocks of a one-block axis.
-        one = m <= _ONE_BLOCK
-        top = np.array(_BAND[:, :m, :m - 1] if one else _BAND[:, :b, :b + w - 1])
-        bottom = top if one else np.array(_BAND[:, w:w + b, :b + w - 1])
-        top[:, :b, :b] += _LEFT[:, :m, :m - 1]
-        bottom[:, -b:, -b:] += _RIGHT[:, -m:, 1 - m:]
-        top *= scale
-        blocks = [(0, 0, top)]
-        if not one:
-            bottom *= scale
-            # One Toeplitz block serves every interior row block: entry
-            # (r, c) couples node row0 + r to difference row0 - w + c.
-            interior = _BAND[:, w:w + b] * scale
-            for row in range(b, m - b, b):
-                rows = min(b, m - b - row)
-                blocks.append(
-                    (row, row - w, interior[:, :rows, :rows + 2 * w - 1]))
-            blocks.append((m - b, m - b - w, bottom))
-        return blocks
+        b = _BLOCK
+        # (first node, first column of the operand, number of blocks,
+        # (2, rows, columns) block) per entry: its blocks read consecutive
+        # segments of the operand and write consecutive row ranges, first
+        # derivatives in [0] and second in [1]
+        if m > _ONE_BLOCK:
+            top, interior, bottom = _carry_blocks(m, _BAND, _LEFT, _RIGHT)
+            for block in (top, interior, bottom):
+                block *= scale
+            n = m // b - 2
+            self._blocks = (
+                (0, 0, 1, top), (b, b + 4, n, interior),
+                (m - bottom.shape[1], (n + 1) * (b + 4), 1, bottom))
+            # the bottom segment spans at least b + 4 columns, so that the
+            # carries read b differences from it
+            self._width = (n + 1) * (b + 4) + max(bottom.shape[2], b + 4)
+            self._whole = None
+        else:
+            # E itself, (2, m, m - 1): a lone pencil's differences then take
+            # a single product
+            self._whole = (_difference_operator(axis) if m < _APART else
+                           _one_block(m, _BAND, _LEFT, _RIGHT) * scale)
+            self._blocks = ((0, 0, 1, self._whole),)
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Differentiate one pencil (shape (m,)) or a batch whose pencils run
@@ -244,6 +323,11 @@ class CcdFactorization:
         pencil on an axis of at most _ONE_BLOCK nodes, whose E is one block,
         takes one product of E and its differences, without the batch
         layout.
+
+        The differences go into one operand, one segment per row block, and
+        each block multiplies its segment, all interior blocks in one
+        product.  On an axis of more than _ONE_BLOCK nodes, each segment
+        starts with four carries (see ``_carried_differences``).
         """
         u = np.asarray(samples)
         m = self.m
@@ -268,23 +352,71 @@ class CcdFactorization:
         # (p, m, q), consecutive nodes of a pencil lie q elements apart.
         q = u.strides[k] // u.itemsize
         flat = u.ravel()
-        # One pass of differences at distance q; those that straddle two
-        # pencils, and the last q, are never read.
-        du = np.empty(flat.size)
-        np.subtract(flat[q:], flat[:-q], out=du[:-q], dtype=float)
-        du = du.reshape(-1, m, q)
+        p = flat.size // (m * q)
         out = np.empty((2,) + u.shape)
-        work = out.reshape(2, -1, m, q)
-        # one product per row block: for a batch of rows (q = 1), the
-        # pencils are rows of du and the block multiplies from the right
-        rowwise = q == 1 and len(du) > 1
-        for rows, cols, block in self._blocks:
+        work = out.reshape(2, p, m, q)
+        # for a batch of rows (q = 1), the pencils are rows of the operand
+        # and every product multiplies from the right
+        rowwise = q == 1 and p > 1
+        if self._whole is not None:
+            # One pass of differences at distance q; those that straddle two
+            # pencils, and the last q, are never read.
+            operand = np.empty(flat.size)
+            np.subtract(flat[q:], flat[:-q], out=operand[:-q], dtype=float)
+            operand = operand.reshape(p, m, q)
+        else:
+            operand = self._carried_differences(flat.reshape(p, m, q), out,
+                                                rowwise)
+        for row, col, n, block in self._blocks:
+            r, c = block.shape[1:]
+            segments = operand[:, col:col + n * c].reshape(p, n, c, q)
+            target = work[:, :, row:row + n * r].reshape(2, p, n, r, q)
             if rowwise:
-                np.matmul(du[:, cols, 0], block[:, 0].swapaxes(1, 2),
-                          out=work[:, :, rows, 0])
+                np.matmul(segments[..., 0].swapaxes(0, 1),
+                          block.swapaxes(1, 2)[:, None],
+                          out=target[..., 0].swapaxes(1, 2))
             else:
-                np.matmul(block, du[:, cols], out=work[:, :, rows])
+                np.matmul(block[:, None, None], segments, out=target)
         return out.swapaxes(1, k + 1) if k else out
+
+    def _carried_differences(self, pencils: np.ndarray, out: np.ndarray,
+                             rowwise: bool) -> np.ndarray:
+        """The operand of the carry form for the (p, m, q) ``pencils``:
+        (p, width, q), each block's segment holding its four carries and
+        then the differences it owns.
+
+        One product of the (4, _BLOCK) carry weights with the first _BLOCK
+        differences of every segment gives the sums; each segment then
+        takes the causal ones of the segment above and the anticausal ones
+        of the segment below.  The sums go into the start of ``out``, which
+        no block has written yet: a product into the operand's own carry
+        columns would make numpy copy the whole operand first.
+        """
+        b = _BLOCK
+        p, m, q = pencils.shape
+        operand = np.empty((p, self._width, q))
+        # the padding of a bottom segment that owns b - 1 differences; a
+        # longer one writes its last difference here
+        operand[:, -1] = 0
+        for row, col, n, block in self._blocks:
+            c = block.shape[2]
+            d = c - 4
+            owned = operand[:, col:col + n * c].reshape(p, n, c, q)[:, :, 4:]
+            below = pencils[:, row + 1:row + 1 + n * d].reshape(owned.shape)
+            np.subtract(below, pencils[:, row:row + n * d].reshape(owned.shape),
+                        out=owned, dtype=float)
+        segments = operand[:, :m // b * (b + 4)].reshape(p, -1, b + 4, q)
+        carries, owned = segments[:, :, :4], segments[:, :, 4:]
+        sums = out.reshape(-1)[:carries.size].reshape(carries.shape)
+        if rowwise:
+            np.matmul(owned[..., 0].swapaxes(0, 1), _CARRY_SUMS.T,
+                      out=sums[..., 0].swapaxes(0, 1))
+        else:
+            np.matmul(_CARRY_SUMS, owned, out=sums)
+        carries[:, 1:, :2] = sums[:, :-1, :2]
+        carries[:, :-1, 2:] = sums[:, 1:, 2:]
+        carries[:, 0, :2] = carries[:, -1, 2:] = 0
+        return operand
 
 
 _CACHE: dict[tuple[int, float], CcdFactorization] = {}

@@ -78,15 +78,18 @@ def test_small_system_well_conditioned():
 def test_factorization_holds_no_dense_matrix():
     # six dense 1025 x 1025 blocks would be 48 MiB, and a dense
     # 2 x 1025 x 1024 A^-1 B~ 16 MiB.  The row blocks of a long axis are
-    # sliced from pieces built at import.
-    tracemalloc.start()
-    try:
-        fact = CcdFactorization(GridAxis(1024))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fact.m == 1025
-    assert peak < 2**20
+    # sliced from pieces built at import, and one entry holds every
+    # interior block, so 10^7 + 1 nodes take no more (one tuple per
+    # interior block took some 156k of them)
+    for n_cells in (1024, 10**7):
+        tracemalloc.start()
+        try:
+            fact = CcdFactorization(GridAxis(n_cells))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fact.m == n_cells + 1
+        assert peak < 2**20, n_cells
 
 
 def test_public_names_resolve():
@@ -368,16 +371,20 @@ def test_short_axis_operator_matches_banded_reference():
 
 # 5, 9 and 33 nodes take the banded build, as does _APART - 1, whose two
 # ends still interact; from _APART on, the operator is sliced from the
-# import-time pieces: as one block up to 129 nodes, and 130 (a two-node
-# interior block), 201 and 1025 (a short last interior block) in several;
-# spacings 0.0375 and 0.02 are not 1/n_cells
+# import-time pieces: as one block up to 129 nodes, and in carry form from
+# 130 on, with a 64-node top block and a bottom block of 64 .. 127 nodes:
+# 130 (66 nodes at the bottom), 151, 191 (127), 192 and 193 (the first
+# interior block, over bottom blocks of 64 and 65), 201, 257 (two interior
+# blocks), 1025 and 1026 (66); spacings 0.0375 and 0.02 are not 1/n_cells
 @pytest.mark.parametrize(
     "n_cells,right",
     [(4, 1.0), (8, 1.0), (32, 1.0), (ccd._APART - 2, 1.0),
      (ccd._APART - 1, 1.0), (80, 1.0), (80, 3.0), (128, 1.0), (129, 1.0),
-     (200, 1.0), (1024, 1.0), (150, 3.0)],
+     (200, 1.0), (1024, 1.0), (150, 3.0), (190, 1.0), (191, 1.0),
+     (192, 1.0), (256, 1.0), (1025, 1.0)],
     ids=["5", "9", "33", str(ccd._APART - 1), str(ccd._APART), "81",
-         "81-h0.0375", "129", "130", "201", "1025", "151-h0.02"],
+         "81-h0.0375", "129", "130", "201", "1025", "151-h0.02", "191",
+         "192", "193", "257", "1026"],
 )
 def test_wide_batch_matches_banded(n_cells, right, rng):
     ax = GridAxis(n_cells, 0.0, right)
@@ -390,6 +397,38 @@ def test_wide_batch_matches_banded(n_cells, right, rng):
         bound = 1e-13 * np.max(np.abs(ref), axis=0)
         assert np.all(np.max(np.abs(got - ref), axis=0) <= bound)
         assert np.max(np.abs(one - ref[:, 0])) <= bound[0]
+
+
+def test_batches_of_every_layout_match_banded(rng):
+    # on 201 nodes (three carry-form blocks), pencils down the middle axis
+    # of a 3-D field (p = 3 groups of q = 5) and along the rows of a 2-D one
+    # (q = 1, the row form), each against its banded solve
+    ax = GridAxis(200)
+    fact = CcdFactorization(ax)
+    for batch in (rng.standard_normal((3, fact.m, 5)).swapaxes(0, 1),
+                  rng.standard_normal((15, fact.m)).T):
+        pair = fact.apply(batch).reshape(2, fact.m, -1)
+        ref = _banded_reference(ax, batch.reshape(fact.m, -1))
+        for got, want in zip(pair, ref):
+            bound = 1e-13 * np.max(np.abs(want), axis=0)
+            assert np.all(np.max(np.abs(got - want), axis=0) <= bound)
+
+
+def test_apply_holds_little_beside_its_output(rng):
+    # one apply of a 1025 x 1025 field, along either axis, holds its output
+    # and the differences with their carries, 68/64 of the differences;
+    # the carries are summed into the output's memory, not into a copy
+    fact = CcdFactorization(GridAxis(1024))
+    field = rng.standard_normal((fact.m, fact.m))
+    differences = 8 * fact.m * (fact.m - 1)
+    for batch in (field, field.T):
+        tracemalloc.start()
+        try:
+            out = fact.apply(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 1.1 * differences
 
 
 # the axes of test_polynomial_exactness and ex4's; rounding in the second
@@ -416,10 +455,13 @@ def test_wide_batch_polynomial_exactness(n_cells, left, right, rng):
 
 
 def test_interior_decay_rate_matches_recurrence_root():
-    # the entries of a middle row of the operator fall by the root that
-    # sets the half-width, at any spacing
-    z = -ccd._DECAY
-    assert abs(1 + 20 * z + 48 * z**2 + 20 * z**3 + z**4) < 1e-14
+    # both roots of the carries solve the interior recurrence's quartic, and
+    # the entries of a middle row of the operator fall by the larger one,
+    # which sets the half-width, at any spacing
+    for z in ccd._ROOTS:
+        assert abs(1 + 20 * z + 48 * z**2 + 20 * z**3 + z**4) < 1e-14
+    assert -1 < ccd._ROOTS[0] < ccd._ROOTS[1] < 0
+    assert ccd._DECAY == abs(ccd._ROOTS[0])
     assert ccd._HALF_WIDTH == 48 and ccd._APART == 48
     for right in (1.0, 7.0):
         e = ccd._difference_operator(GridAxis(128, 0.0, right))
@@ -429,8 +471,16 @@ def test_interior_decay_rate_matches_recurrence_root():
 
 
 def test_block_layout_checks_dropped_tail(monkeypatch):
-    # the import-time build of the pieces runs the check
+    # the import-time build of the pieces runs the checks; each refuses a
+    # layout that breaks it: a band too narrow, blocks shorter than the
+    # band's half-width, and carries with a wrong mode
     ccd._unit_pieces()
-    monkeypatch.setattr(ccd, "_HALF_WIDTH", 16)
-    with pytest.raises(RuntimeError, match="half-width 16"):
-        ccd._unit_pieces()
+    wrong_mode = np.array([ccd._ROOTS[0], -ccd._ROOTS[1]])
+    for name, value, message in (
+            ("_HALF_WIDTH", 16, "half-width 16"),
+            ("_BLOCK", 32, "blocks of 32 nodes are shorter"),
+            ("_ROOTS", wrong_mode, "carries would rebuild")):
+        with monkeypatch.context() as patch:
+            patch.setattr(ccd, name, value)
+            with pytest.raises(RuntimeError, match=message):
+                ccd._unit_pieces()
