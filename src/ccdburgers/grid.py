@@ -1,5 +1,7 @@
 """Uniform 1D grid axes shared by every coordinate direction."""
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,10 @@ class GridAxis:
     cells are required: with only 4 nodes the derivative-operator coefficient
     matrix is exactly singular (its boundary closures and interior relations
     become linearly dependent), so 5 nodes is the smallest solvable system.
+    The cell count must be an integer, and h^2 and 32/h^2 finite and
+    positive for the spacing h, so that the operator built on the axis is
+    finite: the CCD equations' coefficients reach 31/h and 3/h^2, and the
+    operator's entries 7.84/h^2.
     """
 
     n_cells: int
@@ -23,6 +29,12 @@ class GridAxis:
     right: float = 1.0
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_cells)
+        except TypeError:
+            raise ValueError(
+                f"cell count must be an integer, got {self.n_cells!r}"
+            ) from None
         if self.n_cells < MIN_CELLS:
             raise ValueError(
                 f"axis needs at least {MIN_CELLS} cells, got {self.n_cells}"
@@ -30,6 +42,12 @@ class GridAxis:
         if not self.right > self.left:
             raise ValueError(
                 f"invalid interval [{self.left}, {self.right}]"
+            )
+        h = self.spacing
+        if not (0 < h * h < math.inf and 32 / (h * h) < math.inf):
+            raise ValueError(
+                f"spacing {h} of [{self.left}, {self.right}] is not usable: "
+                f"h^2 and 32/h^2 must be finite and positive"
             )
 
     @property

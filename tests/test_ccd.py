@@ -1,6 +1,8 @@
 """Combined compact difference operator: assembly, factorization, accuracy."""
 
+import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,9 @@ from scipy.linalg import lapack
 import ccdburgers
 from ccdburgers import ccd
 from ccdburgers.ccd import CcdFactorization, dense_matrices, get_factorization
+from ccdburgers.exact import example2_spec
 from ccdburgers.grid import GridAxis
+from ccdburgers.model import run
 
 
 def test_axis_basics():
@@ -26,11 +30,41 @@ def test_axis_rejects_too_few_cells():
     # 4 nodes make the coefficient matrix exactly singular.
     with pytest.raises(ValueError):
         GridAxis(3)
+    # a cell count that is not an integer would fail later, in linspace
+    for n_cells in (8.5, 8.0):
+        with pytest.raises(ValueError, match="integer"):
+            GridAxis(n_cells)
 
 
 def test_axis_rejects_bad_interval():
     with pytest.raises(ValueError):
         GridAxis(8, 1.0, 1.0)
+    # spacings whose operator would not be finite: h = inf (NaN nodes),
+    # 1/h^2 = inf, 3/h^2 = inf with 1/h^2 finite, h^2 = 0 (a division by
+    # zero in the operator) and h^2 = inf; the example-2 problem on
+    # [0, inf) is refused by run before it marches
+    for right in (math.inf, 1e-160, 8e-154, 1e-320, 1e200):
+        with pytest.raises(ValueError, match="spacing"):
+            GridAxis(8, 0.0, right)
+    with pytest.raises(ValueError, match="spacing"):
+        GridAxis(8, -1e308, 1e308)
+    spec = dataclasses.replace(example2_spec(final_time=0.01),
+                               domain=((0.0, math.inf), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="spacing"):
+        run(spec, (8, 8), 0.01)
+    # the smallest and largest spacings accepted build a finite operator on
+    # a dense, a one-block and a carry-form axis, and the next ones out are
+    # refused; every column of the identity has two differences of 1, so
+    # its derivatives stay below 2 * 7.84/h^2
+    smallest = math.sqrt(32 / sys.float_info.max)
+    largest = math.sqrt(sys.float_info.max)
+    for n_cells in (8, 80, 200):
+        for h in (smallest * (1 + 1e-9), largest * (1 - 1e-9)):
+            fact = CcdFactorization(GridAxis(n_cells, 0.0, n_cells * h))
+            assert np.all(np.isfinite(fact.apply(np.eye(n_cells + 1))))
+        for h in (smallest * (1 - 1e-9), largest * (1 + 1e-9)):
+            with pytest.raises(ValueError, match="spacing"):
+                GridAxis(n_cells, 0.0, n_cells * h)
 
 
 def _blocks(axis):
@@ -400,35 +434,91 @@ def test_wide_batch_matches_banded(n_cells, right, rng):
 
 
 def test_batches_of_every_layout_match_banded(rng):
-    # on 201 nodes (three carry-form blocks), pencils down the middle axis
-    # of a 3-D field (p = 3 groups of q = 5) and along the rows of a 2-D one
-    # (q = 1, the row form), each against its banded solve
-    ax = GridAxis(200)
-    fact = CcdFactorization(ax)
-    for batch in (rng.standard_normal((3, fact.m, 5)).swapaxes(0, 1),
-                  rng.standard_normal((15, fact.m)).T):
-        pair = fact.apply(batch).reshape(2, fact.m, -1)
-        ref = _banded_reference(ax, batch.reshape(fact.m, -1))
+    # each batch against the banded solve of its pencil-order copy: on 201
+    # nodes (three carry-form blocks), pencils down the middle axis of a
+    # 3-D field (p = 3 groups of q = 5); along the rows of a 2-D field (the
+    # row form, in tiles of _TILE pencils) 15 rows, and either side of one
+    # and two tiles on one-block and carry-form axes; 64, 65 and 129
+    # pencils down the columns of one-block axes; and a 33^3 field along
+    # each axis
+    def check(ax, batch):
+        m = ax.n_nodes
+        pair = get_factorization(ax).apply(batch)
+        ref = _banded_reference(ax, batch.reshape(m, -1))
         for got, want in zip(pair, ref):
+            got = got.reshape(m, -1)
             bound = 1e-13 * np.max(np.abs(want), axis=0)
-            assert np.all(np.max(np.abs(got - want), axis=0) <= bound)
+            assert np.all(np.max(np.abs(got - want), axis=0) <= bound), (
+                m, batch.shape, batch.strides)
+
+    check(GridAxis(200), rng.standard_normal((3, 201, 5)).swapaxes(0, 1))
+    check(GridAxis(200), rng.standard_normal((15, 201)).T)
+    tile = ccd._TILE
+    for n_cells in (32, 128, 200):
+        for rows in (tile - 1, tile, tile + 1, 2 * tile + 1):
+            check(GridAxis(n_cells),
+                  rng.standard_normal((rows, n_cells + 1)).T)
+    for n_cells in (32, 128):
+        for columns in (2 * tile, 2 * tile + 1, 4 * tile + 1):
+            check(GridAxis(n_cells),
+                  rng.standard_normal((n_cells + 1, columns)))
+    field = rng.standard_normal((33, 33, 33))
+    for axis in range(3):
+        check(GridAxis(32), field.swapaxes(0, axis))
 
 
 def test_apply_holds_little_beside_its_output(rng):
-    # one apply of a 1025 x 1025 field, along either axis, holds its output
-    # and the differences with their carries, 68/64 of the differences;
-    # the carries are summed into the output's memory, not into a copy
-    fact = CcdFactorization(GridAxis(1024))
-    field = rng.standard_normal((fact.m, fact.m))
-    differences = 8 * fact.m * (fact.m - 1)
-    for batch in (field, field.T):
-        tracemalloc.start()
-        try:
-            out = fact.apply(batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < out.nbytes + 1.1 * differences
+    # one apply, along each axis of a 1025 x 1025 field and of a 33^3 one,
+    # holds its output and the differences, with their carries on the long
+    # axis (68/64 of the differences); the carries are summed into the
+    # output's memory, and no tiled product copies an operand or buffers
+    # its result.  The 33-node factorization makes its transposed block on
+    # its first batch, before the measurement.
+    short = CcdFactorization(GridAxis(32))
+    short.apply(np.zeros((33, 2)))
+    cases = [(CcdFactorization(GridAxis(1024)), (1025, 1025)),
+             (short, (33, 33, 33))]
+    for fact, shape in cases:
+        field = rng.standard_normal(shape)
+        differences = 8 * field.size // fact.m * (fact.m - 1)
+        for axis in range(field.ndim):
+            batch = field.swapaxes(0, axis)
+            tracemalloc.start()
+            try:
+                out = fact.apply(batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes + 1.1 * differences, (shape, axis)
+
+
+def test_batch_blocks_are_stored_transposed_and_contiguous(rng):
+    # every block that multiplies batches, and the carry weights, is one
+    # C-contiguous array of E's block transposed, (2, columns, rows): a
+    # transposed view gives the same numbers more slowly.  A one-block axis
+    # makes its copy on the first batch, not for a lone pencil.
+    assert ccd._CARRY_SUMS.shape == (ccd._BLOCK, 4)
+    assert ccd._CARRY_SUMS.flags.c_contiguous
+    for n_cells in (32, 80, 128):
+        fact = CcdFactorization(GridAxis(n_cells))
+        m = fact.m
+        assert fact._whole.shape == (2, m, m - 1)
+        fact.apply(rng.standard_normal(m))
+        assert fact._blocks is None
+        fact.apply(rng.standard_normal((m, 2)))
+        (row, col, n, block), = fact._blocks
+        assert (row, col, n) == (0, 0, 1)
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, fact._whole.swapaxes(1, 2))
+    for n_cells in (129, 200, 1024):
+        fact = CcdFactorization(GridAxis(n_cells))
+        ends = [row for row, _, _, _ in fact._blocks[1:]] + [fact.m]
+        for (row, _, n, block), end in zip(fact._blocks, ends):
+            rows = block.shape[2]
+            assert row + n * rows == end
+            # the bottom block owns one difference fewer than its rows
+            assert block.shape == (2, 4 + rows - (end == fact.m), rows)
+            assert block.flags.c_contiguous
 
 
 # the axes of test_polynomial_exactness and ex4's; rounding in the second
