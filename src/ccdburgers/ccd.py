@@ -18,19 +18,14 @@ truncation error) is
 Every row of B annihilates constants, so B u = B~ (u[1:] - u[:-1]): the
 derivatives are the fixed linear map E = A^-1 B~ of the first differences.
 ``CcdFactorization.apply`` multiplies every batch by E, a single pencil
-included, so constants give exactly zero.  E is built once per axis, along
-one of two routes:
-
-* an axis of fewer than ``_APART`` nodes, whose two ends still interact,
-  solves the dense system, in the interleaved order of ``_system``, for
-  half of E and reflects that half into the other
-  (``_difference_operator``);
-* a longer axis is sliced from pieces of one 129-node operator at h = 1,
-  built at import: the Toeplitz band of its interior rows, plus the
-  correction in the corner at the left end, plus that corner mirrored to
-  the right end, with the rows scaled by 1/h and 1/h^2.  E's entries decay
-  geometrically away from the diagonal (Demko, Moss & Smith 1984, Math.
-  Comp. 43:491), so the band keeps ``_HALF_WIDTH`` differences each side.
+included, so constants give exactly zero.  E has a closed form at h = 1,
+its rows then scaled by 1/h and 1/h^2 (``_operator``): the Toeplitz band
+t(j - i) that solves the interior rows on an unbounded axis, plus four
+geometric modes, z_r^i from the left end and their mirror images from the
+right, weighted by one 4 x 4 solve so that the four closure rows hold.  E's
+entries decay geometrically away from the diagonal (Demko, Moss & Smith
+1984, Math. Comp. 43:491), below ``_TAIL`` of a row's maximum past
+``_HALF_WIDTH`` differences.
 
 An axis of at most ``_ONE_BLOCK`` nodes holds E as one dense block.  On a
 longer axis, every row of E is, outside its own block of rows, a sum of two
@@ -38,7 +33,7 @@ geometric modes on either side of the diagonal: the semiseparable structure
 of inverses of banded block matrices (Meurant 1992, SIAM J. Matrix Anal.
 Appl. 13:707).  So E is held in row blocks that read only their own
 differences plus four carries (see ``_carry_blocks``), and every interior
-block is the same array.
+block is the same array, cut from the band.
 
 Which products run in tiles of pencils, and why, is set out in
 ``CcdFactorization.apply``.
@@ -57,9 +52,8 @@ from .grid import GridAxis
 # same at every spacing).  The quartic is palindromic: with s = z + 1/z it
 # reads s^2 + 20s + 46 = 0, so s = -10 +- sqrt(54).  Each s gives one root
 # inside the unit circle, z = 2 / (s - sqrt(s^2 - 4)) without cancellation:
-# z1 = -0.4553 and z2 = -0.0578, the two modes of E's rows away from their
-# block.  |z1| is the rate at which the entries of A^-1 B fall per node away
-# from the diagonal.
+# z1 = -0.4553 and z2 = -0.0578, the two modes of E away from the diagonal,
+# whose entries fall by |z1| per node.
 _S = -10 + math.sqrt(54) * np.array([1.0, -1.0])
 _ROOTS = 2 / (_S - np.sqrt(_S * _S - 4))
 _DECAY = float(abs(_ROOTS[0]))
@@ -67,12 +61,9 @@ _DECAY = float(abs(_ROOTS[0]))
 # drop; checked at import, on the pieces every long axis uses, with the
 # carries held to it plus one unit of round-off.
 _TAIL = 1e-16
-# Differences kept on each side of a node: the smallest width whose
-# geometric tail _DECAY^W / (1 - _DECAY) is below _TAIL (48).
+# Differences from a node past which E's entries are negligible: the least
+# width W whose geometric tail _DECAY^W / (1 - _DECAY) is below _TAIL (48).
 _HALF_WIDTH = math.ceil(math.log(_TAIL * (1 - _DECAY)) / math.log(_DECAY))
-# Nodes from which the two ends of an axis no longer interact: the smallest
-# m with _DECAY^(m - 1) below _TAIL (48).
-_APART = 1 + math.ceil(math.log(_TAIL) / math.log(_DECAY))
 # Nodes per row block, and the side of the corner at either end in which E
 # departs from its band.  An axis of at most _ONE_BLOCK nodes is one dense
 # block; a longer one is a top block of _BLOCK nodes, interior blocks of
@@ -84,7 +75,8 @@ _ONE_BLOCK = 2 * _BLOCK + 1
 # Pencils per tile of the tiled products (see ``CcdFactorization.apply``).
 _TILE = 32
 # Reversing an axis maps E_1 to itself and E_2 to -E_2: E_k[i, j] is
-# _REFLECTION[k] E_k[m - 1 - i, m - 2 - j].
+# _REFLECTION[k] E_k[m - 1 - i, m - 2 - j].  Applied to a pair (u', u''),
+# it maps the interior rows' null vectors at z to those at 1/z.
 _REFLECTION = np.array([[[1.0]], [[-1.0]]])
 
 
@@ -134,39 +126,62 @@ def dense_matrices(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
     return a[np.ix_(block, block)], (bt @ np.diff(np.eye(m), axis=0))[block]
 
 
-def _difference_operator(axis: GridAxis) -> np.ndarray:
-    """E = A^-1 B~ with shape (2, m, m - 1), where B u = B~ (u[1:] - u[:-1]):
-    first derivatives in [0], second in [1].
+def _closed_form() -> tuple[np.ndarray, ...]:
+    """E's closed form at h = 1 from ``_system`` on five nodes: its band
+    t(j - i) on _ONE_BLOCK nodes, a read-only view; the left end's modes
+    z_r^i R v_r there, (component, node, root); the closure rows' residual
+    on the band; and the inverse of the closure rows on the four modes, for
+    each node count from 5 to _ONE_BLOCK."""
+    a, bt = _system(GridAxis(4, 0.0, 4.0))
+    z = _ROOTS
+    # A_-1, A_0, A_1: the middle node's rows; their symbol z A_-1 + A_0 +
+    # A_1 / z is singular at z_r, null vector v_r, and at 1/z_r, R v_r
+    lower, middle, upper = a[4:6, 2:4], a[4:6, 4:6], a[4:6, 6:8]
+    symbol = z[:, None, None] * lower + middle + upper / z[:, None, None]
+    v = np.stack((symbol[:, 1, 1], -symbol[:, 1, 0]))
+    mirrored = _REFLECTION[:, 0] * v
+    # t(k) = sum_r c_r z_r^k v_r, and R t(-1 - k) for k < 0, solves column
+    # j's interior rows once c fits node j's, which node j + 1's mirrors
+    c = np.linalg.solve(lower @ v * z + middle @ v + upper @ mirrored,
+                        bt[4:6, 2])
+    powers = z[:, None] ** np.arange(_ONE_BLOCK)
+    half = v * c @ powers[:, :-1]
+    # line[:, 2 _BLOCK + k] = t(k) for -2 _BLOCK <= k < 2 _BLOCK
+    line = np.concatenate((_REFLECTION[:, 0] * half[:, ::-1], half), axis=1)
+    band = np.lib.stride_tricks.sliding_window_view(
+        line, _ONE_BLOCK - 1, axis=1)[:, ::-1]
+    modes = mirrored[:, None] * powers.T
+    # the closure rows on the end nodes; their residual on m nodes is the
+    # first m - 1 columns of the left rows' and the last of the right rows'
+    ends, nodes = np.r_[0:2, 8:10], [0, 1, -2, -1]
+    closures = a[np.ix_(ends, np.r_[0:4, 6:10])]
+    residual = -closures @ band[:, nodes].swapaxes(0, 1).reshape(8, -1)
+    residual[:, nodes] += bt[ends]
+    # on m nodes, the left end's modes at nodes 0, 1, m - 2 and m - 1; the
+    # right end's there are the left's at m - 1, m - 2, 1 and 0, mirrored
+    left = modes[:, nodes + np.c_[5:_ONE_BLOCK + 1] * [0, 0, 1, 1]]
+    four = np.concatenate((left, _REFLECTION[..., None] * left[:, :, ::-1]), 3)
+    matrices = closures @ four.transpose(1, 2, 0, 3).reshape(-1, 8, 4)
+    return band, modes, residual, np.linalg.inv(matrices)
 
-    A dense LU solve of the interleaved system gives the left half of the
-    columns, and ``_REFLECTION`` the right half.  In this order the LU
-    factors stay banded under partial pivoting, so E's small far entries
-    keep their relative accuracy; in block order they carry 1.7e-14 of
-    their row's maximum, which the check in ``_unit_pieces`` refuses.
-    """
-    m = axis.n_nodes
-    a, bt = _system(axis)
-    half = m // 2
-    x = np.linalg.solve(a, bt[:, :half])
-    e = np.empty((2, m, m - 1))
-    e[:, :, :half] = x.reshape(m, 2, half).swapaxes(0, 1)
-    np.multiply(e[:, ::-1, m - 2 - half::-1], _REFLECTION, out=e[:, :, half:])
+
+_BAND, _MODES, _RESIDUAL, _INVERSES = _closed_form()
+
+
+def _operator(m: int) -> np.ndarray:
+    """E at h = 1 on m <= _ONE_BLOCK nodes, (2, m, m - 1): the band plus the
+    modes z_r^i R v_r from the left end and z_r^(m-1-i) v_r from the right,
+    weighted by the inverse of the closure rows on the modes times the
+    rows' residual on the band, so that the closure rows hold."""
+    e = np.array(_BAND[:, :m, :m - 1])
+    modes = np.concatenate((_MODES[:, :m], _REFLECTION * _MODES[:, m - 1::-1]),
+                           axis=2)
+    residual = np.concatenate((_RESIDUAL[:2, :m - 1], _RESIDUAL[2:, 1 - m:]))
+    e += modes @ (_INVERSES[m - 5] @ residual)
     return e
 
 
-def _one_block(m: int, band: np.ndarray, left: np.ndarray,
-               right: np.ndarray) -> np.ndarray:
-    """E at h = 1 on an axis of _APART .. _ONE_BLOCK nodes, (2, m, m - 1):
-    the band plus each end's corner correction."""
-    b = _BLOCK
-    e = np.array(band[:, :m, :m - 1])
-    e[:, :b, :b] += left[:, :m, :m - 1]
-    e[:, -b:, -b:] += right[:, -m:, 1 - m:]
-    return e
-
-
-def _carry_blocks(m: int, band: np.ndarray, left: np.ndarray,
-                  right: np.ndarray) -> tuple[np.ndarray, ...]:
+def _carry_blocks(m: int, unit: np.ndarray) -> tuple[np.ndarray, ...]:
     """E at h = 1 on an axis of at least 2 _BLOCK nodes, in carry form: the
     top block, one interior block and the bottom block.
 
@@ -184,15 +199,15 @@ def _carry_blocks(m: int, band: np.ndarray, left: np.ndarray,
     """
     b = _BLOCK
     rows = m - (m // b - 1) * b
-    # E on the differences s - 2, s - 1, the block's own, e and e + 1; each
-    # corner correction ends inside its block, by _TAIL
+    # E on the differences s - 2, s - 1, the block's own, e and e + 1: the
+    # end blocks' last _BLOCK rows from ``unit``, the rest from the band,
+    # which E leaves only within _BLOCK nodes of an end, by _TAIL
     top = np.zeros((2, b, b + 4))
-    top[:, :, 2:] = band[:, :b, :b + 2]
-    top[:, :, 2:-2] += left
+    top[:, :, 2:] = unit[:, :b, :b + 2]
     bottom = np.zeros((2, rows, rows + 3))
-    bottom[:, :, :-2] = band[:, 2:rows + 2, :rows + 1]
-    bottom[:, -b:, -b - 2:-2] += right
-    interior = band[:, 2:b + 2, :b + 4]
+    bottom[:, :, :-2] = _BAND[:, 2:rows + 2, :rows + 1]
+    bottom[:, -b:, :-2] = unit[:, -b:, -rows - 1:]
+    interior = _BAND[:, 2:b + 2, :b + 4]
     # (E_k, E_k+1) times to_modes is (c_1, c_2): the transposed inverse of
     # the Vandermonde matrix
     z1, z2 = _ROOTS
@@ -207,22 +222,14 @@ def _carry_blocks(m: int, band: np.ndarray, left: np.ndarray,
     return blocks
 
 
-def _unit_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E on _ONE_BLOCK nodes at h = 1, as the pieces that every axis of at
-    least _APART nodes is sliced from: the Toeplitz band of its middle row,
-    cut to _HALF_WIDTH differences each side, as a read-only
-    (2, _ONE_BLOCK, _ONE_BLOCK - 1) view; the correction that E adds to the
-    band in its first _BLOCK rows and differences, near the left end; and
-    that corner's mirror image, near the right end.
+def _unit_pieces() -> np.ndarray:
+    """E on _ONE_BLOCK nodes at h = 1, which longer axes' end blocks are from.
 
     Refuses a block shorter than the half-width, a half-width at which the
-    band and corners would drop more than _TAIL of a row's maximum, and
-    carries that would miss the pieces' own operator by more than _TAIL
-    plus one unit of round-off of a row's maximum.  The pieces already
-    differ from the dense E by that round-off (2.1e-16 of a row's maximum),
-    and the carries rebuild the entries next to a block from two of them.
-    The carries are checked on this axis cut into a top and a bottom
-    block, so every off-block entry of both corners is rebuilt.
+    carry form would drop more than _TAIL of a row's maximum, and carries
+    that would miss E outside the blocks of this axis, cut in two, by more
+    than _TAIL plus one unit of round-off: they rebuild it from two entries.
+    E comes from constants set at import, so a wrong mode in _ROOTS shows.
     """
     b, w = _BLOCK, _HALF_WIDTH
     if b < w:
@@ -230,32 +237,24 @@ def _unit_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"row blocks of {b} nodes are shorter than the half-width {w}: "
             f"carries from the adjacent block would miss entries of E"
         )
-    cells = _ONE_BLOCK - 1
-    e = _difference_operator(GridAxis(cells, 0.0, float(cells)))
-    offset = np.arange(cells) - np.arange(_ONE_BLOCK)[:, None]
-    kept = (-w <= offset) & (offset < w)
-    kept[:b, :b] = kept[-b:, -b:] = True
+    e = _operator(_ONE_BLOCK)
+    offset = np.arange(_ONE_BLOCK - 1) - np.arange(_ONE_BLOCK)[:, None]
+    dropped = e - _BAND * ((-w <= offset) & (offset < w))
+    dropped[:, :b, :b] = dropped[:, -b:, -b:] = 0
     scale = np.abs(e).max(axis=2)
-    worst = float(np.max(np.abs(e * ~kept).max(axis=2) / scale))
+    worst = float(np.max(np.abs(dropped).max(axis=2) / scale))
     if worst > _TAIL:
         raise RuntimeError(
             f"the block-banded CCD operator would drop {worst:.2g} of a "
             f"row's maximum (half-width {w}, limit {_TAIL:.0e})"
         )
-    # band[:, i, j] = line[:, cells + j - i], the stencil at offset j - i
-    line = np.zeros((2, 2 * cells))
-    line[:, cells - w:cells + w] = e[:, b, b - w:b + w]
-    band = np.lib.stride_tricks.sliding_window_view(line, cells, axis=1)[:, ::-1]
-    left = e[:, :b, :b] - band[:, :b, :b]
-    right = left[:, ::-1, ::-1] * _REFLECTION
-    # outside the two blocks, the pieces hold the band alone
-    top, _, bottom = _carry_blocks(_ONE_BLOCK, band, left, right)
+    top, _, bottom = _carry_blocks(_ONE_BLOCK, e)
     powers = _ROOTS[:, None] ** np.arange(b)
     worst = max(
         float(np.max(np.abs(weights @ powers - outside).max(axis=2) / maxima))
         for weights, outside, maxima in (
-            (top[:, 2:4].swapaxes(1, 2), band[:, :b, b:], scale[:, :b]),
-            (bottom[:, :2].swapaxes(1, 2), band[:, b:, b - 1::-1],
+            (top[:, 2:4].swapaxes(1, 2), e[:, :b, b:], scale[:, :b]),
+            (bottom[:, :2].swapaxes(1, 2), e[:, b:, b - 1::-1],
              scale[:, b:])))
     limit = _TAIL + np.finfo(float).eps
     if worst > limit:
@@ -263,10 +262,10 @@ def _unit_pieces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"the carries would rebuild E outside its row blocks to "
             f"{worst:.2g} of a row's maximum (limit {limit:.2g})"
         )
-    return band, left, right
+    return e
 
 
-_BAND, _LEFT, _RIGHT = _unit_pieces()
+_UNIT = _unit_pieces()
 # The weights of the carries over a block's _BLOCK differences du_n, one
 # column per carry: the causal sums sum_n z_r^(b-1-n) du_n and the
 # anticausal sums sum_n z_r^n du_n.  Stored (_BLOCK, 4) and C-contiguous,
@@ -322,7 +321,7 @@ class CcdFactorization:
         # derivatives in [0] and second in [1].  Each block is E's block
         # transposed (see ``apply``).
         if m > _ONE_BLOCK:
-            top, interior, bottom = _carry_blocks(m, _BAND, _LEFT, _RIGHT)
+            top, interior, bottom = _carry_blocks(m, _UNIT)
             for block in (top, interior, bottom):
                 block *= scale
             n = m // b - 2
@@ -337,8 +336,7 @@ class CcdFactorization:
             # E itself, (2, m, m - 1): a lone pencil's differences then take
             # a single product.  Its transposed block is made on the first
             # batch, since a run of lone pencils never reads it.
-            self._whole = (_difference_operator(axis) if m < _APART else
-                           _one_block(m, _BAND, _LEFT, _RIGHT) * scale)
+            self._whole = _operator(m) * scale
             self._blocks = None
 
     def apply(self, samples: np.ndarray) -> np.ndarray:

@@ -137,7 +137,7 @@ def test_public_names_resolve():
 
 def test_constants_annihilated():
     # the operator acts on differences: exactly zero, for one pencil and a
-    # batch, on both build routes and on one block or several
+    # batch, on one block or several
     for n_cells in (7, 80, 200):
         fact = CcdFactorization(GridAxis(n_cells))
         for u in (np.full(fact.m, 3.7), np.full((fact.m, fact.m), 3.7)):
@@ -390,33 +390,54 @@ def _banded_reference(axis, u):
 
 
 def test_short_axis_operator_matches_banded_reference():
-    # E itself on every node count that takes the dense solve (5 .. 47):
-    # the samples np.tri(m, m - 1, -1) have the unit vectors as their first
-    # differences, so the operator returns E's columns; relative to each
-    # row's largest entry
-    for n_cells in range(4, ccd._APART - 1):
-        ax = GridAxis(n_cells)
-        steps = np.tri(ax.n_nodes, ax.n_nodes - 1, -1)
-        pair = CcdFactorization(ax).apply(steps)
-        for got, ref in zip(pair, _banded_reference(ax, steps)):
-            bound = 1e-13 * np.max(np.abs(ref), axis=1)
-            assert np.all(np.max(np.abs(got - ref), axis=1) <= bound), n_cells
+    # E itself on every node count from 5 to 260, on one block up to 129
+    # nodes and in carry form beyond, and on 513, 1025 and 1026 nodes, at
+    # spacing 1 and 0.0375: the samples np.tri(m, m - 1, -1) have the unit
+    # vectors as their first differences, so the operator returns E's
+    # columns; relative to each row's largest entry
+    for n_cells in [*range(4, 260), 512, 1024, 1025]:
+        for h in (1.0, 0.0375):
+            ax = GridAxis(n_cells, 0.0, h * n_cells)
+            steps = np.tri(ax.n_nodes, ax.n_nodes - 1, -1)
+            pair = CcdFactorization(ax).apply(steps)
+            for got, ref in zip(pair, _banded_reference(ax, steps)):
+                bound = 1e-13 * np.max(np.abs(ref), axis=1)
+                assert np.all(np.max(np.abs(got - ref), axis=1) <= bound), (
+                    n_cells, h)
 
 
-# 5, 9 and 33 nodes take the banded build, as does _APART - 1, whose two
-# ends still interact; from _APART on, the operator is sliced from the
-# import-time pieces: as one block up to 129 nodes, and in carry form from
-# 130 on, with a 64-node top block and a bottom block of 64 .. 127 nodes:
+def test_no_axis_solves_more_than_four_unknowns(monkeypatch):
+    # E's closed form inverts only the 4 x 4 matrices of the closure rows
+    # on the ends' modes, so building a one-block axis (5 .. 129 nodes) or a
+    # carry-form one, whose end blocks come from E on 129 nodes, solves
+    # nothing larger
+    def small_only(solver):
+        def checked(a, *args, **kwargs):
+            assert max(np.shape(a)[-2:]) <= 4, np.shape(a)
+            return solver(a, *args, **kwargs)
+        return checked
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, small_only(getattr(np.linalg,
+                                                                name)))
+    for n_cells in (4, 32, 46, 47, 80, 128, 129, 1024):
+        fact = CcdFactorization(GridAxis(n_cells))
+        assert fact.m == n_cells + 1
+
+
+# up to 129 nodes, E is one block, whose two ends interact below 48 nodes;
+# from 130 on, it is in carry form, with a 64-node top block and a bottom
+# block of 64 .. 127 nodes:
 # 130 (66 nodes at the bottom), 151, 191 (127), 192 and 193 (the first
 # interior block, over bottom blocks of 64 and 65), 201, 257 (two interior
 # blocks), 1025 and 1026 (66); spacings 0.0375 and 0.02 are not 1/n_cells
 @pytest.mark.parametrize(
     "n_cells,right",
-    [(4, 1.0), (8, 1.0), (32, 1.0), (ccd._APART - 2, 1.0),
-     (ccd._APART - 1, 1.0), (80, 1.0), (80, 3.0), (128, 1.0), (129, 1.0),
+    [(4, 1.0), (8, 1.0), (32, 1.0), (46, 1.0), (47, 1.0), (80, 1.0),
+     (80, 3.0), (128, 1.0), (129, 1.0),
      (200, 1.0), (1024, 1.0), (150, 3.0), (190, 1.0), (191, 1.0),
      (192, 1.0), (256, 1.0), (1025, 1.0)],
-    ids=["5", "9", "33", str(ccd._APART - 1), str(ccd._APART), "81",
+    ids=["5", "9", "33", "47", "48", "81",
          "81-h0.0375", "129", "130", "201", "1025", "151-h0.02", "191",
          "192", "193", "257", "1026"],
 )
@@ -552,10 +573,10 @@ def test_interior_decay_rate_matches_recurrence_root():
         assert abs(1 + 20 * z + 48 * z**2 + 20 * z**3 + z**4) < 1e-14
     assert -1 < ccd._ROOTS[0] < ccd._ROOTS[1] < 0
     assert ccd._DECAY == abs(ccd._ROOTS[0])
-    assert ccd._HALF_WIDTH == 48 and ccd._APART == 48
+    assert ccd._HALF_WIDTH == 48
     for right in (1.0, 7.0):
-        e = ccd._difference_operator(GridAxis(128, 0.0, right))
-        for row in e[:, 64]:
+        fact = CcdFactorization(GridAxis(128, 0.0, right))
+        for row in fact.apply(np.tri(129, 128, -1))[:, 64]:
             ratios = np.abs(row[64 + 11:64 + 21] / row[64 + 10:64 + 20])
             np.testing.assert_allclose(ratios, ccd._DECAY, rtol=1e-6)
 
