@@ -35,8 +35,9 @@ Appl. 13:707).  So E is held in row blocks that read only their own
 differences plus four carries (see ``_carry_blocks``), and every interior
 block is the same array, cut from the band.
 
-Which products run in tiles of pencils, and why, is set out in
-``CcdFactorization.apply``.
+How a batch's differences are laid out, and which products run in tiles
+of pencils and why, is set out in ``CcdFactorization._operand`` and
+``_product``.
 """
 
 from __future__ import annotations
@@ -72,12 +73,15 @@ _HALF_WIDTH = math.ceil(math.log(_TAIL * (1 - _DECAY)) / math.log(_DECAY))
 # block, which holds every entry above _TAIL when _BLOCK >= _HALF_WIDTH.
 _BLOCK = 64
 _ONE_BLOCK = 2 * _BLOCK + 1
-# Pencils per tile of the tiled products (see ``CcdFactorization.apply``).
+# Pencils per tile of the tiled products (see ``_product``).
 _TILE = 32
 # Reversing an axis maps E_1 to itself and E_2 to -E_2: E_k[i, j] is
 # _REFLECTION[k] E_k[m - 1 - i, m - 2 - j].  Applied to a pair (u', u''),
 # it maps the interior rows' null vectors at z to those at 1/z.
 _REFLECTION = np.array([[[1.0]], [[-1.0]]])
+# z_r^n, (root, n) for n < _ONE_BLOCK: powers of a negative base take libm's
+# slow pow, so every table of them is cut from this one.
+_POWERS = _ROOTS[:, None] ** np.arange(_ONE_BLOCK)
 
 
 def _system(axis: GridAxis) -> tuple[np.ndarray, np.ndarray]:
@@ -144,13 +148,12 @@ def _closed_form() -> tuple[np.ndarray, ...]:
     # j's interior rows once c fits node j's, which node j + 1's mirrors
     c = np.linalg.solve(lower @ v * z + middle @ v + upper @ mirrored,
                         bt[4:6, 2])
-    powers = z[:, None] ** np.arange(_ONE_BLOCK)
-    half = v * c @ powers[:, :-1]
+    half = v * c @ _POWERS[:, :-1]
     # line[:, 2 _BLOCK + k] = t(k) for -2 _BLOCK <= k < 2 _BLOCK
     line = np.concatenate((_REFLECTION[:, 0] * half[:, ::-1], half), axis=1)
     band = np.lib.stride_tricks.sliding_window_view(
         line, _ONE_BLOCK - 1, axis=1)[:, ::-1]
-    modes = mirrored[:, None] * powers.T
+    modes = mirrored[:, None] * _POWERS.T
     # the closure rows on the end nodes; their residual on m nodes is the
     # first m - 1 columns of the left rows' and the last of the right rows'
     ends, nodes = np.r_[0:2, 8:10], [0, 1, -2, -1]
@@ -249,9 +252,9 @@ def _unit_pieces() -> np.ndarray:
             f"row's maximum (half-width {w}, limit {_TAIL:.0e})"
         )
     top, _, bottom = _carry_blocks(_ONE_BLOCK, e)
-    powers = _ROOTS[:, None] ** np.arange(b)
     worst = max(
-        float(np.max(np.abs(weights @ powers - outside).max(axis=2) / maxima))
+        float(np.max(np.abs(weights @ _POWERS[:, :b] - outside).max(axis=2)
+                     / maxima))
         for weights, outside, maxima in (
             (top[:, 2:4].swapaxes(1, 2), e[:, :b, b:], scale[:, :b]),
             (bottom[:, :2].swapaxes(1, 2), e[:, b:, b - 1::-1],
@@ -269,29 +272,44 @@ _UNIT = _unit_pieces()
 # The weights of the carries over a block's _BLOCK differences du_n, one
 # column per carry: the causal sums sum_n z_r^(b-1-n) du_n and the
 # anticausal sums sum_n z_r^n du_n.  Stored (_BLOCK, 4) and C-contiguous,
-# like the row blocks, for the row form's tiled product.
-_POWERS = _ROOTS[:, None] ** np.arange(_BLOCK)
+# like the row blocks (see ``_product``).
 _CARRY_SUMS = np.ascontiguousarray(
-    np.concatenate((_POWERS[:, ::-1], _POWERS)).T)
+    np.concatenate((_POWERS[:, _BLOCK - 1::-1], _POWERS[:, :_BLOCK])).T)
 
 
-def _tiled_product(rows: np.ndarray, matrix: np.ndarray,
-                   out: np.ndarray) -> None:
-    """``rows @ matrix`` into ``out``, in tiles of _TILE rows: ``rows`` is
-    (p, n, c), ``matrix`` (..., c, r) and ``out`` (..., p, n, r), each of
-    the n row ranges of ``rows`` taking the same matrix.
+def _product(segments: np.ndarray, matrix: np.ndarray,
+             out: np.ndarray) -> None:
+    """Every segment times ``matrix``, into ``out``: ``segments`` is
+    (p, n, c, q), each of p pencils' n segments holding c differences q
+    elements apart, ``matrix`` is (..., c, r) and ``out`` (..., p, n, r, q).
 
-    One batched product covers the whole tiles and one the remaining
-    p mod _TILE rows.
+    Every block of E that multiplies batches, and the carry weights, is
+    stored transposed and C-contiguous, (..., columns, rows), and the
+    batch's shape alone picks the product.  A batch of rows (q = 1, p > 1)
+    multiplies each segment from the right, in tiles of _TILE pencils: one
+    batched product covers the whole tiles and one the remaining p mod
+    _TILE.  With OpenBLAS 0.3.31 these tiled products ran 1.7 to 2.8 times
+    as fast as one product over all rows, and no faster against transposed
+    views of blocks stored the other way.  Every other batch takes one
+    product through the matrix's transposed view: tiles of columns measured
+    slower on most shapes, on long axes and on one-block axes alike, with
+    no pencil count to cut over at.
     """
-    p = rows.shape[0]
+    p, n, c, q = segments.shape
+    if q > 1 or p == 1:
+        np.matmul(matrix.swapaxes(-1, -2)[..., None, None, :, :], segments,
+                  out=out)
+        return
+    rows, out = segments[..., 0], out[..., 0]
     split = p - p % _TILE
     for lo, hi in ((0, split), (split, p)):
         if hi > lo:
+            # the tile count is explicit: an axis of fewer than 3 _BLOCK
+            # nodes has no interior block, n = 0
             size = min(hi - lo, _TILE)
-            tiles = rows[lo:hi].reshape(-1, size, *rows.shape[1:])
+            tiles = rows[lo:hi].reshape((hi - lo) // size, size, n, c)
             dest = out[..., lo:hi, :, :].reshape(
-                *out.shape[:-3], -1, size, *out.shape[-2:])
+                *out.shape[:-3], (hi - lo) // size, size, *out.shape[-2:])
             np.matmul(tiles.swapaxes(1, 2), matrix[..., None, None, :, :],
                       out=dest.swapaxes(-3, -2))
 
@@ -310,7 +328,6 @@ class CcdFactorization:
     """
 
     def __init__(self, axis: GridAxis):
-        self.axis = axis
         self.m = m = axis.n_nodes
         h = axis.spacing
         scale = np.array([[[1 / h]], [[1 / h**2]]])
@@ -319,7 +336,7 @@ class CcdFactorization:
         # (2, columns, rows) block) per entry: its blocks read consecutive
         # segments of the operand and write consecutive row ranges, first
         # derivatives in [0] and second in [1].  Each block is E's block
-        # transposed (see ``apply``).
+        # transposed (see ``_product``).
         if m > _ONE_BLOCK:
             top, interior, bottom = _carry_blocks(m, _UNIT)
             for block in (top, interior, bottom):
@@ -334,8 +351,8 @@ class CcdFactorization:
             self._whole = None
         else:
             # E itself, (2, m, m - 1): a lone pencil's differences then take
-            # a single product.  Its transposed block is made on the first
-            # batch, since a run of lone pencils never reads it.
+            # a single product.  The first batch makes its transposed block
+            # (``_operand``).
             self._whole = _operator(m) * scale
             self._blocks = None
 
@@ -352,29 +369,12 @@ class CcdFactorization:
         C-contiguous batch), the samples are read, and the derivatives
         written, in that order; any other view is copied to C order once.
         So the derivatives of a field handed over as ``f.swapaxes(0, k)``,
-        with ``f`` C-ordered, swapped back are C-ordered too.  A single
-        pencil on an axis of at most _ONE_BLOCK nodes, whose E is one block,
-        takes one product of E and its differences, without the batch
-        layout.
-
-        The differences go into one operand, one segment per row block, and
-        each block multiplies its segment, all interior blocks in one
-        product.  On an axis of more than _ONE_BLOCK nodes, each segment
-        starts with four carries (see ``_carried_differences``).
-
-        Each block, and the carry weights, is stored transposed and
-        C-contiguous, (2, columns, rows).  Viewed as (p, m, q), a batch of
-        rows (q = 1, p > 1) multiplies each segment from the right by its
-        block, and the carry sums by the weights, in tiles of _TILE pencils
-        (``_tiled_product``).  With OpenBLAS 0.3.31 these tiled products
-        ran 1.7 to 2.8 times as fast as one product over all rows, and no
-        faster against transposed views.  Every other batch takes one
-        product per block through the block's transposed view: tiles of
-        columns measured slower on most shapes, on long axes and on
-        one-block axes alike.  E itself serves the lone pencil, and a
-        one-block axis copies it transposed on its first batch: a view of
-        that copy measured slower for the lone pencil and rounds
-        differently.
+        with ``f`` C-ordered, swapped back are C-ordered too.  The
+        differences go into one operand (``_operand``), and each row block
+        multiplies its segments of it (``_product``), all interior blocks
+        in one product.  A single pencil on an axis of at most _ONE_BLOCK
+        nodes, whose E is one block, takes one product of E and its
+        differences, without the batch layout.
         """
         u = np.asarray(samples)
         m = self.m
@@ -401,49 +401,50 @@ class CcdFactorization:
         flat = u.ravel()
         p = flat.size // (m * q)
         out = np.empty((2,) + u.shape)
+        operand = self._operand(flat, p, q, out)
         work = out.reshape(2, p, m, q)
-        # for a batch of rows (q = 1), the pencils are rows of the operand
-        # and every product multiplies from the right
-        rowwise = q == 1 and p > 1
-        if self._whole is not None:
-            # One pass of differences at distance q; those that straddle two
-            # pencils, and the last q, are never read.
-            operand = np.empty(flat.size)
-            np.subtract(flat[q:], flat[:-q], out=operand[:-q], dtype=float)
-            operand = operand.reshape(p, m, q)
-            if self._blocks is None:
-                self._blocks = ((0, 0, 1, np.ascontiguousarray(
-                    self._whole.swapaxes(1, 2))),)
-        else:
-            operand = self._carried_differences(flat.reshape(p, m, q), out,
-                                                rowwise)
         for row, col, n, block in self._blocks:
             c, r = block.shape[1:]
-            segments = operand[:, col:col + n * c].reshape(p, n, c, q)
-            target = work[:, :, row:row + n * r].reshape(2, p, n, r, q)
-            if rowwise:
-                _tiled_product(segments[..., 0], block, target[..., 0])
-            else:
-                np.matmul(block.swapaxes(1, 2)[:, None, None], segments,
-                          out=target)
+            _product(operand[:, col:col + n * c].reshape(p, n, c, q), block,
+                     work[:, :, row:row + n * r].reshape(2, p, n, r, q))
         return out.swapaxes(1, k + 1) if k else out
 
-    def _carried_differences(self, pencils: np.ndarray, out: np.ndarray,
-                             rowwise: bool) -> np.ndarray:
-        """The operand of the carry form for the (p, m, q) ``pencils``:
-        (p, width, q), each block's segment holding its four carries and
-        then the differences it owns.
+    def _operand(self, flat: np.ndarray, p: int, q: int,
+                 out: np.ndarray) -> np.ndarray:
+        """The differences of the pencils ``flat``, viewed as (p, m, q),
+        laid out for the row blocks: (p, columns, q), each block's segments
+        from its column on.
 
-        One product of the carry weights with the first _BLOCK differences
-        of every segment (tiled for a batch of rows) gives the sums; each
+        On one block, one pass of differences at distance q; those that
+        straddle two pencils, and the last q, are never read.  The first
+        batch makes the block, a C-contiguous copy of E transposed, which a
+        run of lone pencils never reads, and the lone pencil keeps E.  Each
+        copy is the faster operand for its products (OpenBLAS 0.3.31, one
+        thread, ``timeit``): an 81-node pencil as ``du @ E^T`` against the
+        copy took 0.05 to 0.78 us longer than ``E @ du``, at each 16-byte
+        offset of the arrays, and rounds differently; the tiles of a 33^3
+        field's last axis took 166 us against a transposed view of E and
+        108 us against the copy.
+
+        In carry form, each segment holds its four carries and then the
+        differences it owns.  One product of the carry weights with the
+        first _BLOCK differences of every segment gives the sums; each
         segment then takes the causal ones of the segment above and the
         anticausal ones of the segment below.  The sums go into the start
         of ``out``, which no block has written yet: a product into the
         operand's own carry columns would make numpy copy the whole operand
         first.
         """
+        m = self.m
+        if self._whole is not None:
+            operand = np.empty(flat.size)
+            np.subtract(flat[q:], flat[:-q], out=operand[:-q], dtype=float)
+            if self._blocks is None:
+                self._blocks = ((0, 0, 1, np.ascontiguousarray(
+                    self._whole.swapaxes(1, 2))),)
+            return operand.reshape(p, m, q)
         b = _BLOCK
-        p, m, q = pencils.shape
+        pencils = flat.reshape(p, m, q)
         operand = np.empty((p, self._width, q))
         # the padding of a bottom segment that owns b - 1 differences; a
         # longer one writes its last difference here
@@ -458,10 +459,7 @@ class CcdFactorization:
         segments = operand[:, :m // b * (b + 4)].reshape(p, -1, b + 4, q)
         carries, owned = segments[:, :, :4], segments[:, :, 4:]
         sums = out.reshape(-1)[:carries.size].reshape(carries.shape)
-        if rowwise:
-            _tiled_product(owned[..., 0], _CARRY_SUMS, sums[..., 0])
-        else:
-            np.matmul(_CARRY_SUMS.T, owned, out=sums)
+        _product(owned, _CARRY_SUMS, sums)
         carries[:, 1:, :2] = sums[:, :-1, :2]
         carries[:, :-1, 2:] = sums[:, 1:, 2:]
         carries[:, 0, :2] = carries[:, -1, 2:] = 0

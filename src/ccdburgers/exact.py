@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -81,7 +82,9 @@ def compute_fourier_coefficients(inv_re: float) -> FourierCoefficients:
     c = _COSINE_RULE @ np.exp(s * (_COS_THETA - 1))
     n = np.arange(1, len(c))
     a = 2 * c[1:]
-    damped = a * np.exp(-(n**2) * np.pi**2 * inv_re * 0.05)
+    # a huge inv_re overflows the exponent to -inf, whose exp is the limit 0
+    with np.errstate(over="ignore"):
+        damped = a * np.exp(-(n**2) * np.pi**2 * inv_re * 0.05)
     last = np.flatnonzero((damped < SERIES_TAIL_TOL) & (n >= 8))[0]
     return FourierCoefficients(a0=float(c[0]), a=a[:last + 1], inv_re=inv_re)
 
@@ -97,7 +100,9 @@ def example1_exact(x, t: float, coeffs: FourierCoefficients):
     x = np.asarray(x, dtype=float)
     nu = coeffs.inv_re
     n = np.arange(1, coeffs.n_trunc + 1)
-    damp = coeffs.a * np.exp(-(n**2) * np.pi**2 * nu * t)
+    # a huge nu t overflows the exponent to -inf, whose exp is the limit 0
+    with np.errstate(over="ignore"):
+        damp = coeffs.a * np.exp(-(n**2) * np.pi**2 * nu * t)
     xn = np.multiply.outer(x, n) * np.pi
     num = 2 * np.pi * nu * (np.sin(xn) @ (damp * n))
     den = coeffs.a0 + np.cos(xn) @ damp
@@ -184,19 +189,23 @@ def example1_spec(
     )
 
 
-def example2_spec(inv_re: float = 0.1, final_time: float = 1.0) -> ProblemSpec:
-    def exact(x, y, t):
-        return example2_exact(x, y, t, inv_re)
-
+def _exact_spec(name, domain, inv_re, final_time, exact) -> ProblemSpec:
+    """A problem whose exact solution ``exact(*coords, t)`` gives its
+    initial data, its boundary data and its error reference."""
     return ProblemSpec(
-        domain=((0.0, 1.0), (0.0, 1.0)),
+        domain=domain,
         inv_re=inv_re,
         final_time=final_time,
-        initial_fn=lambda x, y: exact(x, y, 0.0),
+        initial_fn=lambda *coords: exact(*coords, 0.0),
         boundary_fn=exact,
         exact_fn=exact,
-        name="example2",
+        name=name,
     )
+
+
+def example2_spec(inv_re: float = 0.1, final_time: float = 1.0) -> ProblemSpec:
+    return _exact_spec("example2", ((0.0, 1.0),) * 2, inv_re, final_time,
+                       partial(example2_exact, inv_re=inv_re))
 
 
 def example3_spec(inv_re: float = 0.1, final_time: float = 0.1) -> ProblemSpec:
@@ -205,15 +214,8 @@ def example3_spec(inv_re: float = 0.1, final_time: float = 0.1) -> ProblemSpec:
             f"example 3 is singular at t = 1/sqrt(2); final_time must be "
             f"below {SINGULAR_TIME_3:.6g}, got {final_time}"
         )
-    return ProblemSpec(
-        domain=((0.0, 0.5), (0.0, 0.5)),
-        inv_re=inv_re,
-        final_time=final_time,
-        initial_fn=lambda x, y: example3_exact(x, y, 0.0),
-        boundary_fn=example3_exact,
-        exact_fn=example3_exact,
-        name="example3",
-    )
+    return _exact_spec("example3", ((0.0, 0.5),) * 2, inv_re, final_time,
+                       example3_exact)
 
 
 def example4_spec(
@@ -221,18 +223,8 @@ def example4_spec(
     final_time: float = 1.0,
     variant: str = "corrected",
 ) -> ProblemSpec:
-    def exact(x, y, z, t):
-        return example4_exact(x, y, z, t, variant=variant)
-
-    return ProblemSpec(
-        domain=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
-        inv_re=inv_re,
-        final_time=final_time,
-        initial_fn=lambda x, y, z: exact(x, y, z, 0.0),
-        boundary_fn=exact,
-        exact_fn=exact,
-        name=f"example4[{variant}]",
-    )
+    return _exact_spec(f"example4[{variant}]", ((0.0, 1.0),) * 3, inv_re,
+                       final_time, partial(example4_exact, variant=variant))
 
 
 EXAMPLES = {

@@ -342,20 +342,26 @@ def test_apply_accepts_integer_and_boolean_samples(rng):
 
 def test_apply_returns_one_array_of_both_derivatives(rng):
     # first derivatives in [0] and second in [1], for a pencil, a batch and
-    # a batch read through a transpose
-    fact = get_factorization(GridAxis(8))
-    batch = rng.standard_normal((5, fact.m))
-    for samples in (batch[0], batch.T.copy(), batch.T):
-        got = fact.apply(samples)
-        assert type(got) is np.ndarray and got.shape == (2,) + samples.shape
+    # a batch read through a transpose, on a one-block and a carry-form axis
+    for n_cells in (8, 200):
+        fact = get_factorization(GridAxis(n_cells))
+        batch = rng.standard_normal((5, fact.m))
+        for samples in (batch[0], batch.T.copy(), batch.T):
+            got = fact.apply(samples)
+            assert type(got) is np.ndarray
+            assert got.shape == (2,) + samples.shape
 
 
 def test_apply_on_empty_batches():
-    fact = get_factorization(GridAxis(8))
-    for samples in (np.empty((9, 0)), np.empty((9, 0, 3)),
-                    np.empty((3, 0, 9)).swapaxes(0, 2)):
-        got = fact.apply(samples)
-        assert type(got) is np.ndarray and got.shape == (2,) + samples.shape
+    # on a one-block and a carry-form axis
+    for n_cells in (8, 200):
+        fact = get_factorization(GridAxis(n_cells))
+        m = fact.m
+        for samples in (np.empty((m, 0)), np.empty((m, 0, 3)),
+                        np.empty((3, 0, m)).swapaxes(0, 2)):
+            got = fact.apply(samples)
+            assert type(got) is np.ndarray
+            assert got.shape == (2,) + samples.shape
 
 
 def test_factorization_cache_shared():
@@ -459,7 +465,8 @@ def test_batches_of_every_layout_match_banded(rng):
     # nodes (three carry-form blocks), pencils down the middle axis of a
     # 3-D field (p = 3 groups of q = 5); along the rows of a 2-D field (the
     # row form, in tiles of _TILE pencils) 15 rows, and either side of one
-    # and two tiles on one-block and carry-form axes; 64, 65 and 129
+    # and two tiles on one-block and carry-form axes, those of 130 and 191
+    # nodes without an interior block among them; 64, 65 and 129
     # pencils down the columns of one-block axes; and a 33^3 field along
     # each axis
     def check(ax, batch):
@@ -475,7 +482,7 @@ def test_batches_of_every_layout_match_banded(rng):
     check(GridAxis(200), rng.standard_normal((3, 201, 5)).swapaxes(0, 1))
     check(GridAxis(200), rng.standard_normal((15, 201)).T)
     tile = ccd._TILE
-    for n_cells in (32, 128, 200):
+    for n_cells in (32, 128, 129, 190, 200):
         for rows in (tile - 1, tile, tile + 1, 2 * tile + 1):
             check(GridAxis(n_cells),
                   rng.standard_normal((rows, n_cells + 1)).T)

@@ -1,20 +1,26 @@
 """Command-line harness: subcommands, config handling, exit codes, artifacts."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ccdburgers import cli
+from ccdburgers import cli, model
 
 
 def _read_csv(path):
@@ -511,3 +517,110 @@ def test_audit_failure_exit_code(tmp_path, monkeypatch):
     }
     monkeypatch.setattr(cli.audit_mod, "audit_report", lambda: failing)
     assert cli.main(["audit", "--outdir", str(tmp_path)]) == 4
+
+
+# --- the input contract, as a property ---------------------------------------
+
+class _OverBudget(Exception):
+    """A march past the property test's work budget, which it skips."""
+
+
+def _budget_run(spec, resolution, dt, **kwargs):
+    # the real march, on at most 10^4 node-steps: the huge-grid refusals run
+    # under an address-space limit in test_a_grid_too_large_to_hold_...
+    nodes = math.prod(ax.n_nodes for ax in spec.axes(resolution))
+    if nodes * max(model._step_count(spec.final_time, dt), 1) > 10_000:
+        raise _OverBudget
+    return model.run(spec, resolution, dt, **kwargs)
+
+
+def _values(plausible, *adversarial):
+    # a plausible value three times in four, so that inputs reach the march
+    # as well as the refusals
+    choices = [st.sampled_from(plausible)] * 3 + [st.one_of(*adversarial)]
+    return st.sampled_from(choices).flatmap(lambda values: values)
+
+
+_WORDS = st.sampled_from(["", " ", "x", "8.5", "1e3", "0x10", "nan", "-0"])
+_INTS = st.one_of(st.integers(-2, 17), st.integers(-10**20, 10**20)).map(str)
+_CELLS = _values(
+    ["4", "8", "12", "4,8", "8,4", "4,4,4", "4,8,16"], _INTS, _WORDS,
+    st.lists(st.integers(-1, 17).map(str), max_size=4).map(",".join))
+_FLOATS = st.one_of(
+    st.sampled_from(["0", "-0", "5e-324", "1e-320", "2.6e306", "1e307",
+                     "1e308", "inf", "-inf", "nan", "-1"]),
+    st.floats().map(repr), _WORDS)
+_OPTIONS = {
+    "example": _values(list("1234"), st.sampled_from("05"), _INTS, _WORDS),
+    "m": _CELLS,
+    "m_list": _CELLS,
+    "dt": _values(["h2", "0.01", "0.0125", "0.05", "0.25"], _FLOATS),
+    "final_time": _values(["0", "0.01", "0.05", "0.1", "1"], _FLOATS),
+    "inv_re": _values(["0.1", "1", "0.02"], _FLOATS),
+    "variant": st.sampled_from(["corrected", "as-printed", "printed"]),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """(argv without the output directory, config file text or None)."""
+    command = draw(st.sampled_from(["solve", "converge", "table1"]))
+    flags, lines = [], []
+    for key, values in _OPTIONS.items():
+        # the config file may also hold keys this command does not read; a
+        # variant refuses examples 1-3, so it comes half as often
+        read = key in cli.COMMAND_KEYS[command] and (
+            key != "variant" or draw(st.booleans()))
+        where = draw(st.sampled_from(
+            ["flag", "flag", "config", "config", None] if read
+            else ["config", None]))
+        if where == "flag":
+            flags.append(f"--{key.replace('_', '-')}={draw(values)}")
+        elif where == "config":
+            lines.append(f"{key} = {draw(values)}\n")
+    if command == "solve" and draw(st.booleans()):
+        flags.append("--dump")
+    lines.append(draw(st.sampled_from(["", "", "# note\n", "bogus = 1\n",
+                                       "no equals sign\n"])))
+    config = "".join(lines)
+    if not config:
+        return [command, *flags], None
+    return ["--config", "run.cfg", command, *flags], config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invocations())
+@example((["solve", "--example=3", "--m=8", "--dt=1e-320"], None))
+@example((["solve", "--example=2", "--m=8", "--final-time=1e307"], None))
+@example((["solve", "--example=2", "--m=8", "--variant=as-printed"], None))
+@example((["--config", "run.cfg", "solve", "--example=1", "--m=8"],
+          "variant = as-printed\n"))
+@example((["converge", "--example=2", "--m-list=4,8",
+           "--final-time=2.6e306"], None))
+@example((["solve", "--example=1", "--m=0", "--inv-re=2.6e306"], None))
+def test_every_input_exits_with_a_documented_code(invocation):
+    # exit 0, 2, 3 or 4 and no traceback, whatever the options; a refused
+    # input (exit 2) leaves no output directory
+    argv, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            (Path(tmp) / "run.cfg").write_text(config)
+            argv = [os.path.join(tmp, a) if a == "run.cfg" else a
+                    for a in argv]
+        outdir = Path(tmp) / "out"
+        err = io.StringIO()
+        with mock.patch.object(cli, "run", _budget_run), \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = cli.main([*argv, f"--outdir={outdir}"])
+            except SystemExit as exc:
+                # argparse's refusal of a malformed command line
+                code = exc.code
+            except _OverBudget:
+                # every check before the march passed
+                code = None
+        assert code in (None, 0, 2, 3, 4), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code in (None, 2):
+            assert not outdir.exists()

@@ -133,6 +133,15 @@ def test_leading_coefficient_limit():
     assert abs(strong.a0 - 1.0) < 0.05
 
 
+def test_series_takes_a_huge_inv_re_without_overflow():
+    # the damping exponents overflow to -inf, which leaves the flat kernel
+    # and a zero solution; no overflow warning (here an error) escapes
+    coeffs = compute_fourier_coefficients(1e306)
+    assert coeffs.a0 == 1.0 and np.all(np.abs(coeffs.a) < 1e-15)
+    x = np.linspace(0.0, 1.0, 9)
+    assert np.all(example1_exact(x, 1.0, coeffs) == 0)
+
+
 def test_coefficients_reject_bad_inv_re(tmp_path, capsys):
     with pytest.raises(ValueError):
         compute_fourier_coefficients(-0.1)
