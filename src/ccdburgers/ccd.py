@@ -28,12 +28,12 @@ entries decay geometrically away from the diagonal (Demko, Moss & Smith
 ``_HALF_WIDTH`` differences.
 
 An axis of at most ``_ONE_BLOCK`` nodes holds E as one dense block.  On a
-longer axis, every row of E is, outside its own block of rows, a sum of two
-geometric modes on either side of the diagonal: the semiseparable structure
+longer axis, every row of E is, outside its own block of rows, its band: two
+geometric modes on either side of the diagonal, the semiseparable structure
 of inverses of banded block matrices (Meurant 1992, SIAM J. Matrix Anal.
 Appl. 13:707).  So E is held in row blocks that read only their own
-differences plus four carries (see ``_carry_blocks``), and every interior
-block is the same array, cut from the band.
+differences plus four carries, weighed by the band's own mode weights (see
+``_carry_blocks``), and every interior block is the same array.
 
 How a batch's differences are laid out, and which products run in tiles
 of pencils and why, is set out in ``CcdFactorization._operand`` and
@@ -134,8 +134,9 @@ def _closed_form() -> tuple[np.ndarray, ...]:
     """E's closed form at h = 1 from ``_system`` on five nodes: its band
     t(j - i) on _ONE_BLOCK nodes, a read-only view; the left end's modes
     z_r^i R v_r there, (component, node, root); the closure rows' residual
-    on the band; and the inverse of the closure rows on the four modes, for
-    each node count from 5 to _ONE_BLOCK."""
+    on the band; the inverse of the closure rows on the four modes, for
+    each node count from 5 to _ONE_BLOCK; and the band's weights, t(k) =
+    sum_r w_r z_r^k for k >= 0, (component, root)."""
     a, bt = _system(GridAxis(4, 0.0, 4.0))
     z = _ROOTS
     # A_-1, A_0, A_1: the middle node's rows; their symbol z A_-1 + A_0 +
@@ -146,9 +147,9 @@ def _closed_form() -> tuple[np.ndarray, ...]:
     mirrored = _REFLECTION[:, 0] * v
     # t(k) = sum_r c_r z_r^k v_r, and R t(-1 - k) for k < 0, solves column
     # j's interior rows once c fits node j's, which node j + 1's mirrors
-    c = np.linalg.solve(lower @ v * z + middle @ v + upper @ mirrored,
-                        bt[4:6, 2])
-    half = v * c @ _POWERS[:, :-1]
+    weights = v * np.linalg.solve(
+        lower @ v * z + middle @ v + upper @ mirrored, bt[4:6, 2])
+    half = weights @ _POWERS[:, :-1]
     # line[:, 2 _BLOCK + k] = t(k) for -2 _BLOCK <= k < 2 _BLOCK
     line = np.concatenate((_REFLECTION[:, 0] * half[:, ::-1], half), axis=1)
     band = np.lib.stride_tricks.sliding_window_view(
@@ -165,10 +166,10 @@ def _closed_form() -> tuple[np.ndarray, ...]:
     left = modes[:, nodes + np.c_[5:_ONE_BLOCK + 1] * [0, 0, 1, 1]]
     four = np.concatenate((left, _REFLECTION[..., None] * left[:, :, ::-1]), 3)
     matrices = closures @ four.transpose(1, 2, 0, 3).reshape(-1, 8, 4)
-    return band, modes, residual, np.linalg.inv(matrices)
+    return band, modes, residual, np.linalg.inv(matrices), weights
 
 
-_BAND, _MODES, _RESIDUAL, _INVERSES = _closed_form()
+_BAND, _MODES, _RESIDUAL, _INVERSES, _WEIGHTS = _closed_form()
 
 
 def _operator(m: int) -> np.ndarray:
@@ -184,97 +185,97 @@ def _operator(m: int) -> np.ndarray:
     return e
 
 
-def _carry_blocks(m: int, unit: np.ndarray) -> tuple[np.ndarray, ...]:
+def _carry_blocks(m: int) -> tuple[np.ndarray, ...]:
     """E at h = 1 on an axis of at least 2 _BLOCK nodes, in carry form: the
     top block, one interior block and the bottom block.
 
     A block of the nodes s .. e - 1 owns the differences from s to e - 1
     (to m - 2 in the bottom block), and is returned transposed and
-    C-contiguous, (2, 4 + owned, rows).  Its columns of E weigh the two
-    causal carries sum_j z_r^(s-1-j) du_j over the previous block's
-    differences, the two anticausal carries sum_j z_r^(j-e) du_j over the
-    next block's, and then its own differences.  Past the block, a row of
-    E is sum_r c_r z_r^k at k differences from it, on either side; its two
-    weights c_r on a side come from its two entries nearest the block,
-    through the Vandermonde matrix [[1, 1], [z1, z2]].  The top block has
-    no causal carries and the bottom block no anticausal ones: their
-    weights are zero.
+    C-contiguous, (2, 4 + owned, rows).  Its columns of E weigh the causal
+    carries sum_j z_r^(s-1-j) du_j over the previous block's differences,
+    the anticausal carries sum_j z_r^(j-e) du_j over the next block's, and
+    its own differences.  Past its block, row s + i of E is the band, so its
+    carries' weights are R w_r z_r^i and w_r z_r^(e-s-i) (the top block's
+    causal and the bottom's anticausal carries are zero, ``_operand``).  Its
+    own columns are the band, or E on _ONE_BLOCK nodes within _BLOCK nodes
+    of an end, where E departs from the band.
     """
     b = _BLOCK
-    rows = m - (m // b - 1) * b
-    # E on the differences s - 2, s - 1, the block's own, e and e + 1: the
-    # end blocks' last _BLOCK rows from ``unit``, the rest from the band,
-    # which E leaves only within _BLOCK nodes of an end, by _TAIL
-    top = np.zeros((2, b, b + 4))
-    top[:, :, 2:] = unit[:, :b, :b + 2]
-    bottom = np.zeros((2, rows, rows + 3))
-    bottom[:, :, :-2] = _BAND[:, 2:rows + 2, :rows + 1]
-    bottom[:, -b:, :-2] = unit[:, -b:, -rows - 1:]
-    interior = _BAND[:, 2:b + 2, :b + 4]
-    # (E_k, E_k+1) times to_modes is (c_1, c_2): the transposed inverse of
-    # the Vandermonde matrix
-    z1, z2 = _ROOTS
-    to_modes = np.array([[z2, -z1], [-1.0, 1.0]]) / (z2 - z1)
-    blocks = tuple(np.empty((2, x.shape[2], x.shape[1]))
-                   for x in (top, interior, bottom))
-    for x, block in zip((top, interior, bottom), blocks):
-        block = block.swapaxes(1, 2)
-        np.matmul(x[..., 1::-1], to_modes, out=block[..., :2])
-        np.matmul(x[..., -2:], to_modes, out=block[..., 2:4])
-        block[..., 4:] = x[..., 2:-2]
-    return blocks
+    rows = m % b + b
+    e = _operator(_ONE_BLOCK)
+    bottom = np.array(_BAND[:, :rows, :rows - 1])
+    bottom[:, -b:] = e[:, -b:, 1 - rows:]
+    carries = _WEIGHTS[..., None] * _POWERS
+    return tuple(
+        np.concatenate((_REFLECTION * carries[..., :n], carries[..., n:0:-1],
+                        own.swapaxes(1, 2)), axis=1)
+        for own, n in ((e[:, :b, :b], b), (_BAND[:, :b, :b], b),
+                       (bottom, rows)))
 
 
-def _unit_pieces() -> np.ndarray:
-    """E on _ONE_BLOCK nodes at h = 1, which longer axes' end blocks are from.
+# The weights of the carries over a block's _BLOCK differences du_n, one
+# column per carry: the causal sums sum_n z_r^(b-1-n) du_n and the anticausal
+# sums sum_n z_r^n du_n, (_BLOCK, 4) and C-contiguous (see ``_product``).
+_CARRY_SUMS = np.ascontiguousarray(
+    np.concatenate((_POWERS[:, _BLOCK - 1::-1], _POWERS[:, :_BLOCK])).T)
 
-    Refuses a block shorter than the half-width, a half-width at which the
-    carry form would drop more than _TAIL of a row's maximum, and carries
-    that would miss E outside the blocks of this axis, cut in two, by more
-    than _TAIL plus one unit of round-off: they rebuild it from two entries.
-    E comes from constants set at import, so a wrong mode in _ROOTS shows.
-    """
-    b, w = _BLOCK, _HALF_WIDTH
+
+def _unit_pieces() -> None:
+    """Check, at import, the pieces at h = 1 that longer axes are cut from:
+    refuse a block shorter than the half-width; E on _ONE_BLOCK nodes that
+    leaves the CCD equations unsolved beyond round-off, as a wrong mode in
+    _ROOTS would; a half-width at which the carry form would drop more than
+    _TAIL of a row's maximum; and carries that would miss E outside the
+    blocks of this axis, cut in two, by more than _TAIL plus one ulp."""
+    b, w, m = _BLOCK, _HALF_WIDTH, _ONE_BLOCK
     if b < w:
         raise RuntimeError(
             f"row blocks of {b} nodes are shorter than the half-width {w}: "
             f"carries from the adjacent block would miss entries of E"
         )
-    e = _operator(_ONE_BLOCK)
-    offset = np.arange(_ONE_BLOCK - 1) - np.arange(_ONE_BLOCK)[:, None]
-    dropped = e - _BAND * ((-w <= offset) & (offset < w))
+    # A E - B~ by the rows of nodes n = 0, 2, 4 of ``_system`` on five nodes,
+    # which read three nodes and two differences from n // 2 on: the interior
+    # rows on E's every window of three nodes, the closures on its end ones.
+    a, bt = _system(GridAxis(4, 0.0, 4.0))
+    e = _operator(m)
+    windows = np.lib.stride_tricks.sliding_window_view(e, 3, axis=1)
+    i, worst = np.arange(m - 2), 0
+    for n, at in ((0, 0), (2, ...), (4, -1)):
+        r = np.einsum("rkc,cijk->ijr",
+                      a[2 * n:2 * n + 2, n:n + 6].reshape(2, 3, 2), windows)
+        for k in (0, 1):
+            r[i, i + k] -= bt[2 * n:2 * n + 2, n // 2 + k]
+        worst = max(worst, np.abs(r, out=r)[at].max())
+    del r  # each E-sized array goes before the next is made
+    if worst > 1e-13:
+        raise RuntimeError(f"E on {m} nodes leaves {worst:.2g} of the CCD "
+                           f"equations unsolved (limit 1e-13)")
+    scale = np.abs(e).max(axis=2, keepdims=True)
+    dropped = e - np.tril(np.triu(_BAND, -w), w - 1)
     dropped[:, :b, :b] = dropped[:, -b:, -b:] = 0
-    scale = np.abs(e).max(axis=2)
-    worst = float(np.max(np.abs(dropped).max(axis=2) / scale))
+    dropped /= scale
+    worst = np.abs(dropped).max()
     if worst > _TAIL:
         raise RuntimeError(
             f"the block-banded CCD operator would drop {worst:.2g} of a "
             f"row's maximum (half-width {w}, limit {_TAIL:.0e})"
         )
-    top, _, bottom = _carry_blocks(_ONE_BLOCK, e)
-    worst = max(
-        float(np.max(np.abs(weights @ _POWERS[:, :b] - outside).max(axis=2)
-                     / maxima))
-        for weights, outside, maxima in (
-            (top[:, 2:4].swapaxes(1, 2), e[:, :b, b:], scale[:, :b]),
-            (bottom[:, :2].swapaxes(1, 2), e[:, b:, b - 1::-1],
-             scale[:, b:])))
+    del dropped  # (import memory counts in every run's peak)
+    top, bottom = _carry_blocks(m)[::2]
+    missed = np.concatenate((
+        e[:, :b, b:] - top[:, 2:4].swapaxes(1, 2) @ _CARRY_SUMS[:, 2:].T,
+        e[:, b:, :b] - bottom[:, :2].swapaxes(1, 2) @ _CARRY_SUMS[:, :2].T), 1)
+    missed /= scale
+    worst = np.abs(missed).max()
     limit = _TAIL + np.finfo(float).eps
     if worst > limit:
         raise RuntimeError(
             f"the carries would rebuild E outside its row blocks to "
             f"{worst:.2g} of a row's maximum (limit {limit:.2g})"
         )
-    return e
 
 
-_UNIT = _unit_pieces()
-# The weights of the carries over a block's _BLOCK differences du_n, one
-# column per carry: the causal sums sum_n z_r^(b-1-n) du_n and the
-# anticausal sums sum_n z_r^n du_n.  Stored (_BLOCK, 4) and C-contiguous,
-# like the row blocks (see ``_product``).
-_CARRY_SUMS = np.ascontiguousarray(
-    np.concatenate((_POWERS[:, _BLOCK - 1::-1], _POWERS[:, :_BLOCK])).T)
+_unit_pieces()
 
 
 def _product(segments: np.ndarray, matrix: np.ndarray,
@@ -338,9 +339,7 @@ class CcdFactorization:
         # derivatives in [0] and second in [1].  Each block is E's block
         # transposed (see ``_product``).
         if m > _ONE_BLOCK:
-            top, interior, bottom = _carry_blocks(m, _UNIT)
-            for block in (top, interior, bottom):
-                block *= scale
+            top, interior, bottom = (x * scale for x in _carry_blocks(m))
             n = m // b - 2
             self._blocks = (
                 (0, 0, 1, top), (b, b + 4, n, interior),

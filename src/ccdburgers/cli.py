@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .exact import EXAMPLES
-from .grid import GridAxis
 from .model import InstabilityError, _step_count, linf_errors, run
 from .reference_data import TABLE1_ROWS
 from . import audit as audit_mod
@@ -91,29 +90,57 @@ def resolve_dt(rule: str, spacing: float, final_time: float) -> float:
                 f"(the step count overflows)") from exc
     try:
         dt = float(rule)
-    except ValueError as exc:
-        raise ConfigError(f"invalid dt rule {rule!r}") from exc
+    except ValueError:
+        raise ConfigError(
+            f"--dt {rule!r} is not a step or the rule h2") from None
     if not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+        raise ConfigError(f"--dt must be positive, got {dt}")
     return dt
 
 
+def _parse(opts, key, parse, what, default=None):
+    """Option ``key``, or ``default`` when it is unset, through ``parse``; a
+    value that ``parse`` refuses is refused as not ``what``, naming the
+    option by its flag."""
+    value = opts.get(key, default)
+    try:
+        return parse(value)
+    except ValueError:
+        raise ConfigError(f"{_flag(key)} {value!r} is not {what}") from None
+
+
+def _flag(key: str) -> str:
+    """The flag of the option that the config file calls ``key``."""
+    return "--" + key.replace("_", "-")
+
+
+def _cells(opts, key) -> list[int]:
+    """Option ``key``'s cell counts: one, or a comma list."""
+    return _parse(opts, key, lambda v: [int(p) for p in str(v).split(",")],
+                  "a cell count or a comma list of them")
+
+
+def _axes(spec, resolution, key):
+    """The problem's axes at ``resolution``; an axis they cannot make, too
+    short or with an unusable spacing, is refused naming option ``key``."""
+    try:
+        return spec.axes(resolution)
+    except ValueError as exc:
+        raise ConfigError(f"{_flag(key)}: {exc}") from None
+
+
 def _spec_from_options(opts) -> tuple:
-    example = opts.get("example")
-    if example is None:
-        raise ConfigError("an example id (1-4) is required")
-    example = int(example)
+    if opts.get("example") is None:
+        raise ConfigError("--example is required: a problem id 1-4")
+    example = _parse(opts, "example", int, "a problem id 1-4")
     if example not in EXAMPLES:
-        raise ConfigError(f"unknown example {example}; choose 1-4")
-    kwargs = {}
-    if opts.get("inv_re") is not None:
-        kwargs["inv_re"] = float(opts["inv_re"])
-    if opts.get("final_time") is not None:
-        kwargs["final_time"] = float(opts["final_time"])
+        raise ConfigError(f"--example {example} is unknown; choose 1-4")
+    kwargs = {key: _parse(opts, key, float, "a number")
+              for key in ("inv_re", "final_time") if opts.get(key) is not None}
     if opts.get("variant") is not None:
         if example != 4:
             raise ConfigError(
-                f"a variant applies to example 4 only, not example {example}")
+                f"--variant applies to example 4 only, not example {example}")
         kwargs["variant"] = opts["variant"]
     return example, EXAMPLES[example](**kwargs)
 
@@ -133,7 +160,7 @@ def _outdir(opts) -> Path:
     outdir = Path(opts.get("outdir", "."))
     existing = next(p for p in (outdir, *outdir.parents) if p.exists())
     if not existing.is_dir():
-        raise ConfigError(f"output directory {outdir}: {existing} is not a directory")
+        raise ConfigError(f"--outdir {outdir}: {existing} is not a directory")
     return outdir
 
 
@@ -162,15 +189,14 @@ def write_grid_dump(path: Path, axes, state) -> None:
 
 
 def _resolution(opts, dimension) -> list[int]:
-    m = opts.get("m")
-    if m is None:
-        raise ConfigError("a cell count (--m) is required")
-    parts = [int(p) for p in str(m).split(",")]
+    if opts.get("m") is None:
+        raise ConfigError("--m is required: cells per axis")
+    parts = _cells(opts, "m")
     if len(parts) == 1:
         parts = parts * dimension
     if len(parts) != dimension:
         raise ConfigError(
-            f"need 1 or {dimension} cell counts, got {len(parts)}"
+            f"--m needs 1 or {dimension} cell counts, got {len(parts)}"
         )
     return parts
 
@@ -179,7 +205,7 @@ def cmd_solve(args) -> int:
     opts = _merged_options(args)
     example, spec = _spec_from_options(opts)
     resolution = _resolution(opts, spec.dimension)
-    axes = spec.axes(resolution)
+    axes = _axes(spec, resolution, "m")
     h = min(ax.spacing for ax in axes)
     dt = resolve_dt(opts.get("dt", "h2"), h, spec.final_time)
     outdir = _outdir(opts)
@@ -231,12 +257,11 @@ def cmd_solve(args) -> int:
 def cmd_converge(args) -> int:
     opts = _merged_options(args)
     example, spec = _spec_from_options(opts)
-    raw = opts.get("m_list")
-    if raw is None:
-        raise ConfigError("a cell-count list (--m-list) is required")
-    m_list = [int(p) for p in str(raw).split(",")]
+    if opts.get("m_list") is None:
+        raise ConfigError("--m-list is required: increasing cell counts")
+    m_list = _cells(opts, "m_list")
     if m_list != sorted(m_list) or len(set(m_list)) != len(m_list):
-        raise ConfigError("cell counts must be strictly increasing")
+        raise ConfigError("--m-list must be strictly increasing")
     dyadic = all(b == 2 * a for a, b in zip(m_list, m_list[1:]))
     if not dyadic:
         print("notice: cell counts are not dyadic; rates omitted",
@@ -249,7 +274,7 @@ def cmd_converge(args) -> int:
     levels = []
     for m in m_list:
         resolution = [m] * spec.dimension
-        h = min(ax.spacing for ax in spec.axes(resolution))
+        h = min(ax.spacing for ax in _axes(spec, resolution, "m_list"))
         dt = resolve_dt(opts.get("dt", "h2"), h, spec.final_time)
         _step_count(spec.final_time, dt)
         levels.append((m, resolution, h, dt))
@@ -295,22 +320,22 @@ def cmd_converge(args) -> int:
 
 def cmd_table1(args) -> int:
     opts = _merged_options(args)
-    m = int(opts.get("m", 80))
-    dt = float(opts.get("dt", 1e-5))
+    m = _parse(opts, "m", int, "a cell count", 80)
+    dt = _parse(opts, "dt", float, "a step", 1e-5)
     # the table's abscissas 0.25, 0.5 and 0.75 must be grid nodes
     if m % 4:
         raise ConfigError(
-            f"table1 needs m a multiple of 4 so that x = 0.25, 0.5, 0.75 "
-            f"are grid nodes, got {m}")
+            f"--m must be a multiple of 4 for table1, so that x = 0.25, 0.5 "
+            f"and 0.75 are grid nodes, got {m}")
+    spec = EXAMPLES[1](final_time=1.0)
+    axis, = _axes(spec, [m], "m")
     outdir = _outdir(opts)
 
-    spec = EXAMPLES[1](final_time=1.0)
     times = sorted({t for _, t, *_ in TABLE1_ROWS})
     start = time.perf_counter()
     result = run(spec, [m], dt, snapshot_times=times)
     wall = time.perf_counter() - start
 
-    axis = GridAxis(m, 0.0, 1.0)
     rows = []
     for x, t, *_ in TABLE1_ROWS:
         idx = int(round(x / axis.spacing))

@@ -334,6 +334,9 @@ def run(
         try:
             new = tvd_rk3_step(state, dt, rhs, out=spare, stage=stage)
         except UnstableStepError as exc:
+            # a step checks what it writes, so a state that was already
+            # non-finite has it from boundary_fn
+            _check_boundary(state, nodes[0], n * dt)
             raise InstabilityError(n + 1, t, str(exc)) from exc
         # The spent state's arrays take the next step's result.
         spare = state
@@ -342,7 +345,17 @@ def run(
         if n + 1 in snapshot_steps:
             snapshots[snapshot_steps[n + 1]] = _copy(state, t)
 
+    # no step reads the boundary data of the last one
+    _check_boundary(state, nodes[0], n_steps * dt)
     return RunResult(FieldSet(state, n_steps * dt), snapshots, n_steps)
+
+
+def _check_boundary(components: tuple[np.ndarray, ...], index: np.ndarray,
+                    t: float) -> None:
+    """Refuse non-finite values at the boundary nodes ``index`` of the
+    C-ordered ``components`` as boundary data imposed at time t."""
+    if not all(np.isfinite(c.ravel()[index]).all() for c in components):
+        raise ValueError(f"boundary data at t={t:g} is not finite")
 
 
 def _copy(comps: tuple[np.ndarray, ...], t: float) -> FieldSet:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -495,6 +496,91 @@ def test_batches_of_every_layout_match_banded(rng):
         check(GridAxis(32), field.swapaxes(0, axis))
 
 
+# node counts weighted towards the seams of the operator's layout: the
+# one-block limit (129/130), the first interior block (191 .. 193), two
+# interior blocks (257) and either side of every multiple of the block size
+_SEAMS = sorted({129, 130, 191, 192, 193, 257} | {
+    k * ccd._BLOCK + d for k in range(2, 11) for d in (-1, 0, 1)})
+_DTYPES = ["bool", "int8", "uint8", "int64", "float32", "float64"]
+
+
+@st.composite
+def _batches(draw):
+    """(field, k): a field whose axis k holds pencils of 5 .. 704 nodes, with
+    0 .. 3 more axes of at most 70 and together at most 140 pencils (now
+    and then none), in C or F order, optionally reversed or stepped along
+    one axis, of any real dtype ``apply`` takes."""
+    m = draw(st.one_of(st.sampled_from(_SEAMS), st.integers(5, 704)))
+    batch = []
+    for _ in range(draw(st.integers(0, 3))):
+        batch.append(draw(st.integers(1, min(70, 140 // math.prod(batch)))))
+    if batch and draw(st.integers(0, 9)) == 0:
+        batch[-1] = 0
+    k = draw(st.integers(0, len(batch)))
+    shape = [*batch[:k], m, *batch[k:]]
+    step = draw(st.sampled_from([1, 1, -1, 2]))
+    cut = draw(st.integers(0, len(shape) - 1))
+    full = list(shape)
+    full[cut] = max(0, abs(step) * (shape[cut] - 1) + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+    if dtype.kind == "f":
+        values = rng.standard_normal(full)
+    elif dtype.kind == "b":
+        values = rng.random(full) < 0.5
+    else:
+        info = np.iinfo(dtype)
+        values = rng.integers(max(info.min, -2**40), min(info.max, 2**40),
+                              full, endpoint=True)
+    base = np.array(values, dtype=dtype,
+                    order=draw(st.sampled_from("CF")))
+    cuts = [slice(None)] * len(shape)
+    cuts[cut] = slice(None, None, step)
+    field = base[tuple(cuts)]
+    assert field.shape == tuple(shape)
+    return field, k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_batches())
+def test_apply_matches_banded_on_any_batch(batch):
+    # any node count, batch layout and real dtype: the derivatives of the
+    # pencils down axis k of a field, handed over as field.swapaxes(0, k),
+    # have the batch's shape, match the banded solve of the pencil-order
+    # copy, leave the input as it was, raise no warning, and come back
+    # C-ordered once swapped back when the field is C-ordered.  The bound is
+    # relative to the largest derivative that differences of the pencil's
+    # size can give, the largest row sum of |E| times its largest |du|: on
+    # short pencils the largest derivative found can be a small part of
+    # that, and then both the banded solve and the operator miss exact
+    # arithmetic by more than 1e-13 of it (2e-13 on 5 nodes).
+    field, k = batch
+    samples = field.swapaxes(0, k)
+    before = samples.copy()
+    m = samples.shape[0]
+    ax = GridAxis(m - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = get_factorization(ax).apply(samples)
+    assert pair.shape == (2,) + samples.shape
+    assert np.array_equal(samples, before)
+    if field.flags.c_contiguous:
+        assert pair.swapaxes(1, k + 1).flags.c_contiguous
+    if samples.size:
+        # E's columns and the derivatives from one banded solve
+        u = samples.reshape(m, -1).astype(float)
+        ref = _banded_reference(ax, np.hstack((np.tri(m, m - 1, -1), u)))
+        du = np.max(np.abs(np.diff(u, axis=0)), axis=0)
+        for got, want in zip(pair, ref):
+            got = got.reshape(m, -1)
+            # constants give exactly zero; the banded solve can leave
+            # round-off on them
+            assert not got[:, du == 0].any()
+            bound = 1e-13 * np.abs(want[:, :m - 1]).sum(axis=1).max() * du
+            error = np.abs(got - want[:, m - 1:])[:, du > 0]
+            assert np.all(np.max(error, axis=0) <= bound[du > 0])
+
+
 def test_apply_holds_little_beside_its_output(rng):
     # one apply, along each axis of a 1025 x 1025 field and of a 33^3 one,
     # holds its output and the differences, with their carries on the long
@@ -538,8 +624,13 @@ def test_batch_blocks_are_stored_transposed_and_contiguous(rng):
         assert (row, col, n) == (0, 0, 1)
         assert block.flags.c_contiguous
         assert np.array_equal(block, fact._whole.swapaxes(1, 2))
+    # In carry form, every block's four carry columns are the band's own
+    # weights: R w_r z_r^i on the causal carries and w_r z_r^(rows - i) on
+    # the anticausal ones, for row i, scaled by 1/h and 1/h^2.
+    weights = ccd._WEIGHTS[..., None] * ccd._POWERS
     for n_cells in (129, 200, 1024):
         fact = CcdFactorization(GridAxis(n_cells))
+        scale = np.array([[[n_cells]], [[n_cells**2]]])
         ends = [row for row, _, _, _ in fact._blocks[1:]] + [fact.m]
         for (row, _, n, block), end in zip(fact._blocks, ends):
             rows = block.shape[2]
@@ -547,6 +638,11 @@ def test_batch_blocks_are_stored_transposed_and_contiguous(rng):
             # the bottom block owns one difference fewer than its rows
             assert block.shape == (2, 4 + rows - (end == fact.m), rows)
             assert block.flags.c_contiguous
+            np.testing.assert_allclose(
+                block[:, :4],
+                np.concatenate((ccd._REFLECTION * weights[..., :rows],
+                                weights[..., rows:0:-1]), axis=1) * scale,
+                rtol=1e-14)
 
 
 # the axes of test_polynomial_exactness and ex4's; rounding in the second
@@ -589,16 +685,27 @@ def test_interior_decay_rate_matches_recurrence_root():
 
 
 def test_block_layout_checks_dropped_tail(monkeypatch):
-    # the import-time build of the pieces runs the checks; each refuses a
-    # layout that breaks it: a band too narrow, blocks shorter than the
-    # band's half-width, and carries with a wrong mode
+    # the import-time checks each refuse a layout that breaks them: a band
+    # too narrow, blocks shorter than the band's half-width, a closed form
+    # built on a wrong mode, whose E no longer solves the CCD equations, and
+    # carry weights off the band's by 1e-12
     ccd._unit_pieces()
-    wrong_mode = np.array([ccd._ROOTS[0], -ccd._ROOTS[1]])
-    for name, value, message in (
-            ("_HALF_WIDTH", 16, "half-width 16"),
-            ("_BLOCK", 32, "blocks of 32 nodes are shorter"),
-            ("_ROOTS", wrong_mode, "carries would rebuild")):
-        with monkeypatch.context() as patch:
+    wrong = np.array([ccd._ROOTS[0], -ccd._ROOTS[1]])
+    names = ("_BAND", "_MODES", "_RESIDUAL", "_INVERSES", "_WEIGHTS")
+    with monkeypatch.context() as patch:
+        wrong_mode = {"_ROOTS": wrong,
+                      "_POWERS": wrong[:, None] ** np.arange(ccd._ONE_BLOCK)}
+        for name, value in wrong_mode.items():
             patch.setattr(ccd, name, value)
+        wrong_mode.update(zip(names, ccd._closed_form()))
+    for patches, message in (
+            ({"_HALF_WIDTH": 16}, "half-width 16"),
+            ({"_BLOCK": 32}, "blocks of 32 nodes are shorter"),
+            (wrong_mode, "CCD equations unsolved"),
+            ({"_WEIGHTS": ccd._WEIGHTS * [1, 1 + 1e-12]},
+             "carries would rebuild")):
+        with monkeypatch.context() as patch:
+            for name, value in patches.items():
+                patch.setattr(ccd, name, value)
             with pytest.raises(RuntimeError, match=message):
                 ccd._unit_pieces()

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -561,6 +562,12 @@ _OPTIONS = {
 }
 
 
+# what a refusal (exit 2) names: an option, by its flag or its config key,
+# or the config file
+_NAMED = re.compile(r"--(example|m|m-list|dt|final-time|inv-re|variant|outdir)"
+                    r"\b|\b(example|dt|final_time|inv_re|variant)\b|run\.cfg")
+
+
 @st.composite
 def _invocations(draw):
     """(argv without the output directory, config file text or None)."""
@@ -624,3 +631,6 @@ def test_every_input_exits_with_a_documented_code(invocation):
         assert "Traceback" not in err.getvalue()
         if code in (None, 2):
             assert not outdir.exists()
+        if code == 2:
+            refusal = err.getvalue().splitlines()[-1]
+            assert "error: " in refusal and _NAMED.search(refusal), refusal

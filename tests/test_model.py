@@ -588,6 +588,23 @@ def test_instability_reported_with_step():
     assert "stability_guard" not in str(info.value)
 
 
+@pytest.mark.parametrize("bad", [0.006, 0.01])
+def test_non_finite_boundary_data_is_named(bad):
+    # boundary data that turns NaN at t = bad, mid-run or at the final time,
+    # is refused as boundary data at that time: not blamed on the step size,
+    # and not returned in the final field
+    spec = dataclasses.replace(_const_spec(dimension=1), final_time=0.01)
+
+    def boundary(x, t):
+        value = np.nan if t > bad - 1e-9 else 0.75
+        return (np.full_like(x, value),)
+
+    spec = dataclasses.replace(spec, boundary_fn=boundary)
+    with pytest.raises(ValueError, match=f"^boundary data at t={bad:g} is "
+                                         f"not finite$"):
+        run(spec, [16], 1e-3)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(
