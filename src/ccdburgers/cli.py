@@ -122,11 +122,19 @@ def _cells(opts, key) -> list[int]:
 
 def _axes(spec, resolution, key):
     """The problem's axes at ``resolution``; an axis they cannot make, too
-    short or with an unusable spacing, is refused naming option ``key``."""
+    short or with an unusable spacing, or a grid whose float64 field numpy
+    cannot index, is refused naming option ``key``."""
     try:
-        return spec.axes(resolution)
+        axes = spec.axes(resolution)
     except ValueError as exc:
         raise ConfigError(f"{_flag(key)}: {exc}") from None
+    nodes = math.prod(ax.n_nodes for ax in axes)
+    limit = np.iinfo(np.intp).max
+    if 8 * nodes > limit:
+        raise ConfigError(
+            f"{_flag(key)}: a grid of {nodes} nodes is too large for memory: "
+            f"one float64 field of it exceeds {limit} bytes")
+    return axes
 
 
 def _spec_from_options(opts) -> tuple:

@@ -2,7 +2,9 @@
 
 Shu-Osher form: every stage is a convex combination of the previous state
 and a forward-Euler substep, so the scheme inherits the stability bound of
-forward Euler while being third-order accurate.
+forward Euler while being third-order accurate.  A stage enters the next
+as p + w*((s - p) + dt*f) with w > 0, so a NaN or infinity in any stage stays
+non-finite at its node in the result, which alone is checked.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ STAGE_WEIGHTS = (
 
 
 class UnstableStepError(RuntimeError):
-    """Raised when a stage produces non-finite values (blow-up)."""
+    """Raised when a step's result holds non-finite values (blow-up)."""
 
 
 RhsFn = Callable[[tuple[np.ndarray, ...]], Sequence[np.ndarray]]
 
 
-def _check_finite(fields: Sequence[np.ndarray], label: str) -> None:
+def _check_finite(fields: Sequence[np.ndarray]) -> None:
     for comp in fields:
         if not np.isfinite(comp).all():
             finite = comp[np.isfinite(comp)]
@@ -35,7 +37,8 @@ def _check_finite(fields: Sequence[np.ndarray], label: str) -> None:
                 f"largest finite magnitude {np.max(np.abs(finite)):.3e}"
                 if finite.size else "no finite values left"
             )
-            raise UnstableStepError(f"non-finite values in {label}; {detail}")
+            raise UnstableStepError(
+                f"non-finite values in the step's result; {detail}")
 
 
 def tvd_rk3_step(
@@ -58,11 +61,11 @@ def tvd_rk3_step(
     nor ``un``.  ``rhs`` may return the arrays it is given; any other array
     it returns is only read.
 
-    NumPy's overflow and invalid-value warnings are off inside the step:
-    every stage is checked for non-finite values instead.
+    NumPy's overflow and invalid-value warnings are off inside the step: the
+    result alone is checked, as a non-finite stage value stays non-finite.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if out is None:
         out = tuple(np.empty_like(p, dtype=float) for p in un)
     if stage is None:
@@ -84,14 +87,10 @@ def tvd_rk3_step(
         for p, f, d in zip(un, rhs(un), out):
             np.multiply(f, dt, out=d)
             d += p
-        _check_finite(out, "stage 1")
-
         # Stage 2.
         combine(out, rhs(out), stage, STAGE_WEIGHTS[1][1])
-        _check_finite(stage, "stage 2")
-
         # Final combination, into the arrays of the spent first stage.
         combine(stage, rhs(stage), out, STAGE_WEIGHTS[2][1])
-        _check_finite(out, "updated state")
 
+    _check_finite(out)
     return out

@@ -38,6 +38,8 @@ def test_spans_record_patched_calls():
     # axis 0 hands the field to apply as it is: one pencil per 1D apply
     assert tracer.pencils == calls["ccd.CcdFactorization.apply"]
     assert calls["tvd_rk3.tvd_rk3_step"] == 10
+    # one finite check per step, of its result
+    assert calls["tvd_rk3._check_finite"] == calls["tvd_rk3.tvd_rk3_step"]
 
 
 def test_spans_count_wide_batch_pencils():

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -220,8 +221,8 @@ def test_h2_rule_on_a_long_final_time_is_config_error(
     # 1D: 4e8 + 1 nodes, 3.0 GiB per field
     ["--example", "1", "--m", "400000000", "--dt", "1e-3",
      "--final-time", "1e-3"],
-    # 2D with 1e11 nodes per axis
-    ["--example", "3", "--m", "99999999999", "--dt", "0.00125"],
+    # 2D with 1e9 nodes per axis, whose 8e18-byte field numpy can index
+    ["--example", "3", "--m", "999999999", "--dt", "0.00125"],
 ], ids=["1d", "2d"])
 def test_a_grid_too_large_to_hold_is_config_error(tmp_path, argv):
     # in a child process whose address space is capped at 2 GiB, so the
@@ -245,6 +246,41 @@ def test_a_grid_too_large_to_hold_is_config_error(tmp_path, argv):
               if line.startswith("error: ")]
     assert len(errors) == 1 and "Traceback" not in proc.stderr
     assert errors[0].startswith("error: out of memory: Unable to allocate")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--example", "1", "--m", "1234567890123456789", "--dt", "0.5",
+     "--final-time", "1"],
+    ["solve", "--example", "1", "--m", "99999999999999999999", "--dt", "0.5",
+     "--final-time", "1"],
+    ["table1", "--m", "1234567890123456788"],
+    ["converge", "--example", "1", "--m-list", "8,1234567890123456789",
+     "--dt", "0.5", "--final-time", "1"],
+    # 2D with 1e11 nodes per axis
+    ["solve", "--example", "3", "--m", "99999999999", "--dt", "0.00125"],
+], ids=["1d", "past-int64", "table1", "converge", "2d"])
+def test_a_grid_too_large_to_index_names_its_option(tmp_path, capsys, argv):
+    # a grid whose float64 field has more bytes than numpy can index is
+    # refused before anything is allocated or marched: exit 2, one error
+    # line naming the option, no traceback, no output
+    def march(*args, **kwargs):
+        raise AssertionError("marched")
+
+    outdir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        with mock.patch.object(cli, "run", march):
+            rc = cli.main([*argv, "--outdir", str(outdir)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert rc == 2 and len(errors) == 1 and "Traceback" not in err
+    flag = argv[argv.index("--m-list" if "--m-list" in argv else "--m")]
+    assert errors[0].startswith(f"error: {flag}: ") and "memory" in errors[0]
+    assert peak < 1 << 20
     assert not outdir.exists()
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ccdburgers import tvd_rk3
 from ccdburgers.tvd_rk3 import (
     STAGE_WEIGHTS,
     UnstableStepError,
@@ -86,6 +87,15 @@ def test_rejects_nonpositive_dt():
         tvd_rk3_step((np.ones(3),), 0.0, lambda s: (np.zeros(3),))
 
 
+def test_rejects_infinite_dt():
+    # bad input, not a blow-up: refused before the right-hand side runs
+    def rhs(s):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match="positive and finite"):
+        tvd_rk3_step((np.ones(3),), np.inf, rhs)
+
+
 def test_nonfinite_stage_raises():
     state = (np.array([1.0, 2.0]),)
 
@@ -143,3 +153,33 @@ def test_step_writes_only_its_own_buffers(rng, fresh):
         assert np.array_equal(comp, ref)
     expected = 1 + 0.1 + 0.1**2 / 2 + 0.1**3 / 6
     np.testing.assert_allclose(new[0], expected * u, rtol=1e-15)
+
+
+@pytest.mark.parametrize("call", [0, 1, 2], ids=["1st", "2nd", "3rd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308],
+                         ids=["nan", "+inf", "-inf", "overflow"])
+def test_a_non_finite_value_in_any_stage_raises(rng, call, bad):
+    # the right-hand side is zero but at one node on exactly one of its three
+    # calls, where it holds NaN, an infinity, or a finite 1e308 that
+    # overflows once multiplied by dt = 10; the step's one check of its
+    # result must catch each of them
+    state = (rng.standard_normal(5), rng.standard_normal(5))
+    calls = []
+
+    def rhs(s):
+        f = tuple(np.zeros(5) for _ in s)
+        if len(calls) == call:
+            f[1][2] = bad
+        calls.append(s)
+        return f
+
+    with pytest.raises(UnstableStepError, match="non-finite values"):
+        tvd_rk3_step(state, 10.0, rhs)
+
+
+def test_one_finite_check_per_step_on_the_result(monkeypatch):
+    checked = []
+    monkeypatch.setattr(tvd_rk3, "_check_finite", checked.append)
+    out = tvd_rk3_step((np.ones(3), np.zeros(3)), 0.5,
+                       lambda s: tuple(-c for c in s))
+    assert len(checked) == 1 and checked[0] is out
