@@ -227,9 +227,7 @@ def cmd_solve(args) -> int:
     result = run(spec, resolution, dt)
     wall = time.perf_counter() - start
 
-    errors = None
-    if spec.exact_fn is not None:
-        errors = linf_errors(result.final, spec, resolution)
+    errors = linf_errors(result.final, spec, resolution)
     # heuristic explicit-diffusion advisory; it never blocks a run
     limit = h**2 / (2 * spec.dimension * spec.inv_re)
 
@@ -251,10 +249,8 @@ def cmd_solve(args) -> int:
         "wall_time_s": wall,
     }
     _manifest(outdir / "run_manifest.json", summary)
-    if errors is not None:
-        names = "uvw"[: spec.dimension]
-        for name, err in zip(names, errors):
-            print(f"e_{name} = {_fmt(err)}")
+    for name, err in zip("uvw", errors):
+        print(f"e_{name} = {_fmt(err)}")
     if dt > limit:
         print(f"warning: dt={dt:.4g} exceeds heuristic diffusive limit "
               f"{limit:.4g}", file=sys.stderr)
@@ -306,12 +302,11 @@ def cmd_converge(args) -> int:
         for i, row in enumerate(rows):
             out = [_fmt(row["h"])]
             for c, name in enumerate(names):
-                out.append(_fmt(row["errors"][c]))
-                if i > 0 and dyadic and rows[i - 1]["errors"][c] > 0:
-                    rate = math.log2(rows[i - 1]["errors"][c] / row["errors"][c])
-                    out.append(f"{rate:.2f}")
-                else:
-                    out.append("")
+                cur = row["errors"][c]
+                out.append(_fmt(cur))
+                prev = rows[i - 1]["errors"][c] if i > 0 and dyadic else 0.0
+                out.append(f"{math.log2(prev / cur):.2f}"
+                           if prev > 0 and cur > 0 else "")
             writer.writerow(out)
     _manifest(outdir / f"converge_example{example}.json", {
         "example": example,

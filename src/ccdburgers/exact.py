@@ -17,7 +17,7 @@ from .model import ProblemSpec
 SINGULAR_TIME_3 = 1 / np.sqrt(2.0)
 
 # The example-1 oracle is held to the absolute accuracy SERIES_ATOL, and its
-# series stops once a damped term falls below SERIES_TAIL_TOL.  Both are
+# series stops once a coefficient falls below SERIES_TAIL_TOL.  Both are
 # absolute, so they must stay below SERIES_RTOL times the smallest value of
 # the heat-kernel denominator.
 SERIES_ATOL = 1e-13
@@ -58,9 +58,9 @@ def compute_fourier_coefficients(inv_re: float) -> FourierCoefficients:
     an = 2 exp(-s) In(s), the cosine coefficients of exp(s (cos t - 1))
     (A&S 9.6.19), all taken by one application of ``_COSINE_RULE``; with
     s < 5.76 its aliased terms are far below round-off.  Terms are kept up
-    to the first n >= 8 whose damped size |an| exp(-n^2 pi^2 inv_re t) at
-    t = 0.05 falls below ``SERIES_TAIL_TOL``, so the series value is
-    insensitive to further truncation for t >= 0.05.
+    to the first n >= 8 whose own size |an| falls below ``SERIES_TAIL_TOL``;
+    the time factor exp(-n^2 pi^2 inv_re t) only shrinks a term, so the
+    series value is insensitive to further truncation for every t > 0.
 
     The denominator the coefficients feed is bounded below by the kernel's
     minimum exp(-1/(pi inv_re)).  An ``inv_re`` at which the absolute
@@ -82,18 +82,15 @@ def compute_fourier_coefficients(inv_re: float) -> FourierCoefficients:
     c = _COSINE_RULE @ np.exp(s * (_COS_THETA - 1))
     n = np.arange(1, len(c))
     a = 2 * c[1:]
-    # a huge inv_re overflows the exponent to -inf, whose exp is the limit 0
-    with np.errstate(over="ignore"):
-        damped = a * np.exp(-(n**2) * np.pi**2 * inv_re * 0.05)
-    last = np.flatnonzero((damped < SERIES_TAIL_TOL) & (n >= 8))[0]
+    last = np.flatnonzero((a < SERIES_TAIL_TOL) & (n >= 8))[0]
     return FourierCoefficients(a0=float(c[0]), a=a[:last + 1], inv_re=inv_re)
 
 
 def example1_exact(x, t: float, coeffs: FourierCoefficients):
     """Series solution of the 1D problem with sin(pi x) initial data.
 
-    Valid for t > 0; at t = 0 the series converges too slowly and the
-    initial condition should be used directly.
+    Accurate for every t > 0, since the truncation of ``coeffs`` does not
+    depend on t; at t = 0 the initial condition is used directly.
     """
     if not t > 0:
         raise ValueError("series oracle requires t > 0; use sin(pi x) at t=0")

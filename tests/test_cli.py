@@ -118,6 +118,28 @@ def test_solve_example3(tmp_path):
     assert (tmp_path / "fields.bin").exists()
 
 
+def test_solve_example1_short_run_reports_the_solver_error(tmp_path, capsys):
+    # at t = 0.001 the reported error is the solver's: within 10% of the
+    # error against the series with 199 terms from scipy's Bessel function
+    from scipy.special import ive
+
+    from ccdburgers.exact import FourierCoefficients, example1_exact
+
+    rc = cli.main([
+        "solve", "--example", "1", "--inv-re", "0.03", "--m", "80",
+        "--dt", "1e-5", "--final-time", "0.001", "--outdir", str(tmp_path),
+        "--dump",
+    ])
+    assert rc == 0
+    e_u = float(re.search(r"e_u = (\S+)", capsys.readouterr().out).group(1))
+    # past the 1D header: int32 dimension, int64 cells, float64 spacing, time
+    u = np.frombuffer((tmp_path / "fields.bin").read_bytes(), "<f8", offset=28)
+    s = 1 / (2 * np.pi * 0.03)
+    series = FourierCoefficients(ive(0, s), 2 * ive(np.arange(1, 200), s), 0.03)
+    ref = np.max(np.abs(u - example1_exact(np.linspace(0, 1, 81), 0.001, series)))
+    assert e_u == pytest.approx(ref, rel=0.1)
+
+
 def test_solve_zero_final_time(tmp_path):
     rc = cli.main([
         "solve", "--example", "3", "--m", "8", "--final-time", "0",
@@ -452,6 +474,23 @@ def test_converge_non_dyadic_omits_rates(tmp_path, capsys):
     assert rows[1][2] == "" and rows[2][2] == ""
 
 
+def test_converge_leaves_the_rate_empty_at_a_zero_error(tmp_path):
+    # a level that hits the exact solution has no rate: log2(prev / 0) would
+    # divide by zero, so the cell stays empty as on the first row
+    errors = iter([(1e-10, 1e-10), (0.0, 1e-11)])
+    with mock.patch.object(cli, "linf_errors", lambda *a: next(errors)):
+        rc = cli.main([
+            "converge", "--example", "3", "--m-list", "4,8",
+            "--outdir", str(tmp_path),
+        ])
+    assert rc == 0
+    rows = _read_csv(tmp_path / "converge_example3.csv")
+    assert rows[2][2] == "" and rows[2][4] == "3.32"
+    manifest = json.loads((tmp_path / "converge_example3.json").read_text())
+    assert [r["errors"] for r in manifest["rows"]] == [[1e-10, 1e-10],
+                                                       [0.0, 1e-11]]
+
+
 def test_converge_requires_increasing_list(tmp_path):
     rc = cli.main([
         "converge", "--example", "3", "--m-list", "8,4",
@@ -641,6 +680,8 @@ def _invocations(draw):
 @example((["converge", "--example=2", "--m-list=4,8",
            "--final-time=2.6e306"], None))
 @example((["solve", "--example=1", "--m=0", "--inv-re=2.6e306"], None))
+@example((["converge", "--example=3", "--m-list=8,16", "--dt=1e-315",
+           "--final-time=1e-315"], None))
 def test_every_input_exits_with_a_documented_code(invocation):
     # exit 0, 2, 3 or 4 and no traceback, whatever the options; a refused
     # input (exit 2) leaves no output directory
