@@ -2,9 +2,11 @@
 reproduction and the solvability audit.
 
 Configuration is a flat ``key=value`` text file holding only keys some
-subcommand reads; any command-line option overrides the file.  Exit codes:
-0 success, 2 configuration error (a grid too large to hold included),
-3 instability, 4 audit failure.
+subcommand reads.  Its values are the subcommand's defaults, so argparse
+converts and refuses them as it does a flag, and any flag overrides them.
+Every refusal, argparse's own included, is one ``error:`` line.  Exit
+codes: 0 success, 2 configuration error (a grid too large to hold
+included), 3 instability, 4 audit failure.
 """
 
 from __future__ import annotations
@@ -36,6 +38,14 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals raise ConfigError, for ``main`` to report
+    on one line, instead of printing a usage block and exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 #: Option keys each subcommand reads from its flags or the config file.
 COMMAND_KEYS = {
     "solve": ("example", "m", "dt", "final_time", "inv_re", "variant", "outdir"),
@@ -46,9 +56,7 @@ COMMAND_KEYS = {
 CONFIG_KEYS = frozenset(k for keys in COMMAND_KEYS.values() for k in keys)
 
 
-def load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+def load_config(path: str) -> dict[str, str]:
     values = {}
     try:
         text = Path(path).read_text()
@@ -98,74 +106,51 @@ def resolve_dt(rule: str, spacing: float, final_time: float) -> float:
     return dt
 
 
-def _parse(opts, key, parse, what, default=None):
-    """Option ``key``, or ``default`` when it is unset, through ``parse``; a
-    value that ``parse`` refuses is refused as not ``what``, naming the
-    option by its flag."""
-    value = opts.get(key, default)
+def _cells(value: str) -> list[int]:
+    """Cell counts: one, or a comma list."""
     try:
-        return parse(value)
+        return [int(p) for p in value.split(",")]
     except ValueError:
-        raise ConfigError(f"{_flag(key)} {value!r} is not {what}") from None
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a cell count or a comma list of them") from None
 
 
-def _flag(key: str) -> str:
-    """The flag of the option that the config file calls ``key``."""
-    return "--" + key.replace("_", "-")
-
-
-def _cells(opts, key) -> list[int]:
-    """Option ``key``'s cell counts: one, or a comma list."""
-    return _parse(opts, key, lambda v: [int(p) for p in str(v).split(",")],
-                  "a cell count or a comma list of them")
-
-
-def _axes(spec, resolution, key):
+def _axes(spec, resolution, flag):
     """The problem's axes at ``resolution``; an axis they cannot make, too
     short or with an unusable spacing, or a grid whose float64 field numpy
-    cannot index, is refused naming option ``key``."""
+    cannot index, is refused naming option ``flag``."""
     try:
         axes = spec.axes(resolution)
     except ValueError as exc:
-        raise ConfigError(f"{_flag(key)}: {exc}") from None
+        raise ConfigError(f"{flag}: {exc}") from None
     nodes = math.prod(ax.n_nodes for ax in axes)
     limit = np.iinfo(np.intp).max
     if 8 * nodes > limit:
         raise ConfigError(
-            f"{_flag(key)}: a grid of {nodes} nodes is too large for memory: "
+            f"{flag}: a grid of {nodes} nodes is too large for memory: "
             f"one float64 field of it exceeds {limit} bytes")
     return axes
 
 
-def _spec_from_options(opts) -> tuple:
-    if opts.get("example") is None:
+def _spec(args):
+    """The problem that ``--example`` names, with its other options."""
+    if args.example is None:
         raise ConfigError("--example is required: a problem id 1-4")
-    example = _parse(opts, "example", int, "a problem id 1-4")
-    if example not in EXAMPLES:
-        raise ConfigError(f"--example {example} is unknown; choose 1-4")
-    kwargs = {key: _parse(opts, key, float, "a number")
-              for key in ("inv_re", "final_time") if opts.get(key) is not None}
-    if opts.get("variant") is not None:
-        if example != 4:
-            raise ConfigError(
-                f"--variant applies to example 4 only, not example {example}")
-        kwargs["variant"] = opts["variant"]
-    return example, EXAMPLES[example](**kwargs)
+    if args.example not in EXAMPLES:
+        raise ConfigError(f"--example {args.example} is unknown; choose 1-4")
+    if args.variant is not None and args.example != 4:
+        raise ConfigError(
+            f"--variant applies to example 4 only, not example {args.example}")
+    kwargs = {key: getattr(args, key)
+              for key in ("inv_re", "final_time", "variant")
+              if getattr(args, key) is not None}
+    return EXAMPLES[args.example](**kwargs)
 
 
-def _merged_options(args) -> dict:
-    opts = load_config(getattr(args, "config", None))
-    for key in COMMAND_KEYS[args.command]:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    return opts
-
-
-def _outdir(opts) -> Path:
+def _outdir(args) -> Path:
     """The output directory, refused before any work when it is, or lies
     under, an existing file that is not a directory."""
-    outdir = Path(opts.get("outdir", "."))
+    outdir = Path(args.outdir)
     existing = next(p for p in (outdir, *outdir.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"--outdir {outdir}: {existing} is not a directory")
@@ -196,10 +181,10 @@ def write_grid_dump(path: Path, axes, state) -> None:
             np.ascontiguousarray(comp, dtype="<f8").tofile(fh)
 
 
-def _resolution(opts, dimension) -> list[int]:
-    if opts.get("m") is None:
+def _resolution(args, dimension) -> list[int]:
+    parts = args.m
+    if parts is None:
         raise ConfigError("--m is required: cells per axis")
-    parts = _cells(opts, "m")
     if len(parts) == 1:
         parts = parts * dimension
     if len(parts) != dimension:
@@ -210,13 +195,12 @@ def _resolution(opts, dimension) -> list[int]:
 
 
 def cmd_solve(args) -> int:
-    opts = _merged_options(args)
-    example, spec = _spec_from_options(opts)
-    resolution = _resolution(opts, spec.dimension)
-    axes = _axes(spec, resolution, "m")
+    spec = _spec(args)
+    resolution = _resolution(args, spec.dimension)
+    axes = _axes(spec, resolution, "--m")
     h = min(ax.spacing for ax in axes)
-    dt = resolve_dt(opts.get("dt", "h2"), h, spec.final_time)
-    outdir = _outdir(opts)
+    dt = resolve_dt(args.dt, h, spec.final_time)
+    outdir = _outdir(args)
 
     # say how long the march is before it starts
     n_steps = _step_count(spec.final_time, dt)
@@ -235,7 +219,7 @@ def cmd_solve(args) -> int:
     if args.dump:
         write_grid_dump(outdir / "fields.bin", axes, result.final)
     summary = {
-        "example": example,
+        "example": args.example,
         "problem": spec.name,
         "resolution": resolution,
         "spacing": [ax.spacing for ax in axes],
@@ -259,11 +243,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    opts = _merged_options(args)
-    example, spec = _spec_from_options(opts)
-    if opts.get("m_list") is None:
+    spec = _spec(args)
+    m_list = args.m_list
+    if m_list is None:
         raise ConfigError("--m-list is required: increasing cell counts")
-    m_list = _cells(opts, "m_list")
     if m_list != sorted(m_list) or len(set(m_list)) != len(m_list):
         raise ConfigError("--m-list must be strictly increasing")
     dyadic = all(b == 2 * a for a, b in zip(m_list, m_list[1:]))
@@ -271,15 +254,15 @@ def cmd_converge(args) -> int:
         print("notice: cell counts are not dyadic; rates omitted",
               file=sys.stderr)
 
-    outdir = _outdir(opts)
+    outdir = _outdir(args)
     names = "uvw"[: spec.dimension]
 
     # every level's step is refused, if at all, before any level runs
     levels = []
     for m in m_list:
         resolution = [m] * spec.dimension
-        h = min(ax.spacing for ax in _axes(spec, resolution, "m_list"))
-        dt = resolve_dt(opts.get("dt", "h2"), h, spec.final_time)
+        h = min(ax.spacing for ax in _axes(spec, resolution, "--m-list"))
+        dt = resolve_dt(args.dt, h, spec.final_time)
         _step_count(spec.final_time, dt)
         levels.append((m, resolution, h, dt))
 
@@ -294,7 +277,7 @@ def cmd_converge(args) -> int:
     header = ["h"]
     for name in names:
         header += [f"e_{name}", f"rate_{name}"]
-    csv_path = outdir / f"converge_example{example}.csv"
+    csv_path = outdir / f"converge_example{args.example}.csv"
     outdir.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -308,10 +291,10 @@ def cmd_converge(args) -> int:
                 out.append(f"{math.log2(prev / cur):.2f}"
                            if prev > 0 and cur > 0 else "")
             writer.writerow(out)
-    _manifest(outdir / f"converge_example{example}.json", {
-        "example": example,
+    _manifest(outdir / f"converge_example{args.example}.json", {
+        "example": args.example,
         "problem": spec.name,
-        "dt_rule": opts.get("dt", "h2"),
+        "dt_rule": args.dt,
         "inv_re": spec.inv_re,
         "final_time": spec.final_time,
         "rows": rows,
@@ -322,17 +305,15 @@ def cmd_converge(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    opts = _merged_options(args)
-    m = _parse(opts, "m", int, "a cell count", 80)
-    dt = _parse(opts, "dt", float, "a step", 1e-5)
+    m, dt = args.m, args.dt
     # the table's abscissas 0.25, 0.5 and 0.75 must be grid nodes
     if m % 4:
         raise ConfigError(
             f"--m must be a multiple of 4 for table1, so that x = 0.25, 0.5 "
             f"and 0.75 are grid nodes, got {m}")
     spec = EXAMPLES[1](final_time=1.0)
-    axis, = _axes(spec, [m], "m")
-    outdir = _outdir(opts)
+    axis, = _axes(spec, [m], "--m")
+    outdir = _outdir(args)
 
     times = sorted({t for _, t, *_ in TABLE1_ROWS})
     start = time.perf_counter()
@@ -367,8 +348,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    opts = _merged_options(args)
-    outdir = _outdir(opts)
+    outdir = _outdir(args)
     report = audit_mod.audit_report()
     path = outdir / "audit.json"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -385,7 +365,7 @@ def cmd_audit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccdburgers",
         description="Sixth-order compact-difference Burgers' solver",
     )
@@ -393,46 +373,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--outdir", help="output directory (default: .)")
+    common.add_argument("--outdir", default=".",
+                        help="output directory (default: .)")
 
     problem = argparse.ArgumentParser(add_help=False)
-    problem.add_argument("--example", help="benchmark problem id (1-4)")
-    problem.add_argument("--dt", help="time step or the rule 'h2'")
-    problem.add_argument("--final-time", dest="final_time")
-    problem.add_argument("--inv-re", dest="inv_re")
+    problem.add_argument("--example", type=int,
+                         help="benchmark problem id (1-4)")
+    problem.add_argument("--dt", default="h2",
+                         help="time step or the rule 'h2' (default)")
+    problem.add_argument("--final-time", dest="final_time", type=float)
+    problem.add_argument("--inv-re", dest="inv_re", type=float)
     problem.add_argument("--variant", choices=("corrected", "as-printed"),
                          help="exact-solution variant for example 4")
 
     solve = sub.add_parser("solve", parents=[common, problem],
                            help="run one problem and report errors")
-    solve.add_argument("--m", help="cells per axis, scalar or comma list")
+    solve.add_argument("--m", type=_cells,
+                       help="cells per axis, scalar or comma list")
     solve.add_argument("--dump", action="store_true",
                        help="also write a raw binary grid dump")
-    solve.set_defaults(fn=cmd_solve)
+    solve.set_defaults(fn=cmd_solve, parser=solve)
 
     conv = sub.add_parser("converge", parents=[common, problem],
                           help="grid-refinement convergence study")
-    conv.add_argument("--m-list", dest="m_list",
+    conv.add_argument("--m-list", dest="m_list", type=_cells,
                       help="comma-separated increasing cell counts")
-    conv.set_defaults(fn=cmd_converge)
+    conv.set_defaults(fn=cmd_converge, parser=conv)
 
     tab = sub.add_parser("table1", parents=[common],
                          help="reproduce the 1D comparison table")
-    tab.add_argument("--m", help="cells (default 80)")
-    tab.add_argument("--dt", help="time step (default 1e-5)")
-    tab.set_defaults(fn=cmd_table1)
+    tab.add_argument("--m", type=int, default=80, help="cells (default 80)")
+    tab.add_argument("--dt", type=float, default=1e-5,
+                     help="time step (default 1e-5)")
+    tab.set_defaults(fn=cmd_table1, parser=tab)
 
     aud = sub.add_parser("audit", parents=[common],
                          help="solvability audit (reduction + sweep)")
-    aud.set_defaults(fn=cmd_audit)
+    aud.set_defaults(fn=cmd_audit, parser=aud)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file's values become the command's defaults, which
+            # argparse converts as it does a flag's; a flag still wins
+            values = load_config(args.config)
+            args.parser.set_defaults(**{key: values[key] for key in
+                                        COMMAND_KEYS[args.command]
+                                        if key in values})
+            args = parser.parse_args(argv)
         return args.fn(args)
     except (ConfigError, ValueError, OSError) as exc:
         # OSError: the outputs could not be written

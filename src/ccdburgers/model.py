@@ -96,7 +96,7 @@ def _components(values: Sequence[np.ndarray], d: int, source: str,
     """A callback's values as a tuple, refused with ValueError unless they
     hold one component per axis of a d-dimensional problem: the one count
     rule, which every callback result passes before ``zip`` pairs it with
-    a field's components (in the time loop, after a strict ``zip`` fails)."""
+    a field's components (for boundary data, after a strict ``zip`` fails)."""
     values = tuple(values)
     if len(values) != d:
         at = "" if t is None else f" at t={t:g}"
@@ -235,37 +235,48 @@ def _boundary_setter(spec: ProblemSpec, nodes):
             for comp, val in zip(components, values, strict=True):
                 comp.ravel()[index] = val
         except ValueError:
-            # a wrong count stops zip; the count rule names it
-            values = _components(values, len(components), "boundary data", t)
-            shapes = ", ".join(str(np.shape(v)) for v in values)
-            raise ValueError(
-                f"boundary data at t={t:g} has shapes {shapes}, which do not "
-                f"broadcast to the {index.size} boundary nodes"
-            ) from None
+            raise _boundary_refusal(values, len(components), index.size,
+                                    t) from None
         return components
 
     return set_boundary
 
 
+def _boundary_refusal(values, d: int, size: int, t: float) -> ValueError:
+    """Refuse boundary data at time t that a strict ``zip`` with d
+    components stopped, by the count rule, or else return the error naming
+    its shapes, which do not broadcast to the ``size`` boundary nodes."""
+    values = _components(values, d, "boundary data", t)
+    shapes = ", ".join(str(np.shape(v)) for v in values)
+    return ValueError(
+        f"boundary data at t={t:g} has shapes {shapes}, which do not "
+        f"broadcast to the {size} boundary nodes")
+
+
 def _validate_initial_boundary(initial, spec: ProblemSpec, nodes):
-    """Refuse non-finite initial data, boundary data at t=0 without one
-    component per axis, and initial data that differs from the boundary
-    data at t=0 by more than 1e-12 at any of the boundary ``nodes``.
+    """Refuse non-finite initial data, boundary data at t=0 as at every
+    later step (a wrong count or shape, or not finite), and initial data
+    that differs from it by more than 1e-12 at any of the boundary ``nodes``.
 
     Only the boundary nodes are compared, as only they are imposed; the
     finiteness pass reads every node without a float copy.
     """
     if not all(np.isfinite(c).all() for c in initial):
         raise ValueError("initial data must be finite")
-    # non-finite boundary data makes its deviation NaN or inf, which fails
-    # the test below
     index, coords = nodes
-    values = _components(spec.boundary_fn(*coords, 0.0), len(initial),
-                         "boundary data", 0.0)
-    deviations = [float(np.max(np.abs(comp.ravel()[index] - val)))
-                  for comp, val in zip(initial, values)]
+    values = spec.boundary_fn(*coords, 0.0)
+    try:
+        deviations = [float(np.max(np.abs(comp.ravel()[index] - val)))
+                      for comp, val in zip(initial, values, strict=True)]
+    except ValueError:
+        raise _boundary_refusal(values, len(initial), index.size,
+                                0.0) from None
     if all(dev <= 1e-12 for dev in deviations):
         return
+    # the initial data is finite, so a deviation that is not comes from
+    # the boundary data
+    if not all(map(math.isfinite, deviations)):
+        raise ValueError("boundary data at t=0 is not finite")
     raise ValueError(
         "initial and boundary data disagree on the domain boundary at "
         f"t=0 (max deviation {np.max(deviations):.3e})"

@@ -70,6 +70,32 @@ def test_load_config(tmp_path):
         assert rc == 2
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["solve", "--bogus"], None),
+    (["solve", "--example", "2", "--m", "8", "--variant", "nope"], None),
+    (["simulate", "--example", "2"], None),
+    (["table1", "--m", "8.5"], None),
+    (["solve", "--m", "8"], "example = x\n"),
+    (["solve", "--example", "2"], "m = 8,\n"),
+], ids=["unknown-flag", "bad-choice", "unknown-command", "table1-m",
+        "config-example", "config-m"])
+def test_parser_refusals_are_one_line(tmp_path, capsys, argv, config):
+    # argparse's refusals, of a flag or of a config value, come back from
+    # main as exit 2 and one error line, with no usage block and no output
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg), *argv]
+    outdir = tmp_path / "out"
+    rc = cli.main([*argv, "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert "usage:" not in captured.err and "Traceback" not in captured.err
+    assert not outdir.exists()
+
+
 def test_subcommand_flags_match_config_keys():
     # every flag a subcommand reads is a config key and every config key is
     # a flag; --dump is a switch with no config-file form
@@ -698,9 +724,6 @@ def test_every_input_exits_with_a_documented_code(invocation):
                 contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = cli.main([*argv, f"--outdir={outdir}"])
-            except SystemExit as exc:
-                # argparse's refusal of a malformed command line
-                code = exc.code
             except _OverBudget:
                 # every check before the march passed
                 code = None

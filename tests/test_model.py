@@ -539,6 +539,16 @@ def test_component_count_is_checked_on_every_callback_result():
                        r"the 32 boundary nodes"):
         run(wrong_shape, [8, 8], 0.005)
 
+    # and so is the same data from t = 0, where the initial data is checked
+    def misshapen_from_0(x, y, t):
+        return tuple(np.zeros(5) for _ in example3_exact(x, y, t))
+
+    wrong_shape = dataclasses.replace(spec, boundary_fn=misshapen_from_0)
+    with pytest.raises(ValueError, match=r"boundary data at t=0 has "
+                       r"shapes \(5,\), \(5,\), which do not broadcast to "
+                       r"the 32 boundary nodes"):
+        run(wrong_shape, [8, 8], 0.005)
+
 
 def test_the_runtime_loads_no_scipy():
     # the package needs NumPy only: importing it, marching examples 1 and 4
@@ -588,11 +598,11 @@ def test_instability_reported_with_step():
     assert "stability_guard" not in str(info.value)
 
 
-@pytest.mark.parametrize("bad", [0.006, 0.01])
+@pytest.mark.parametrize("bad", [0.0, 0.006, 0.01])
 def test_non_finite_boundary_data_is_named(bad):
-    # boundary data that turns NaN at t = bad, mid-run or at the final time,
-    # is refused as boundary data at that time: not blamed on the step size,
-    # and not returned in the final field
+    # boundary data that turns NaN at t = bad, from the start, mid-run or at
+    # the final time, is refused as boundary data at that time: not blamed
+    # on the step size, and not returned in the final field
     spec = dataclasses.replace(_const_spec(dimension=1), final_time=0.01)
 
     def boundary(x, t):
